@@ -514,20 +514,24 @@ def _cmd_rerank(args):
     records = read_kbest(args.kbest)
     bias = BiasVector.parse(args.bias) if args.bias else None
     reranked = rerank_kbest(records, bias)
-    best: list[TokenSeq] = []
-    seen: set[int] = set()
+    best: dict[int, TokenSeq] = {}
     for rec in reranked:
-        if rec.sid in seen:
-            continue
-        seen.add(rec.sid)
-        best.append(list(rec.tokens))
+        best.setdefault(rec.sid, list(rec.tokens))
+    lines = list(best.values())
     inputs = [args.kbest]
     if args.src:
         sources = read_token_lines(args.src)
-        _check_same_length(args.kbest, best, args.src, sources)
-        best = [repair(t, s) for t, s in zip(best, sources)]
+        expected = set(range(len(sources)))
+        if best.keys() != expected:
+            missing = sorted(expected - best.keys())
+            extra = sorted(best.keys() - expected)
+            raise ValueError(
+                f"{args.kbest}: ids must be 0..{len(sources) - 1}, one per line of "
+                f"{args.src}; missing {missing[:5]}, unexpected {extra[:5]}"
+            )
+        lines = [repair(best[sid], s) for sid, s in enumerate(sources)]
         inputs.append(args.src)
-    _write_lines(args.out, best)
+    _write_lines(args.out, lines)
     outputs = [args.out]
     if args.kbest_out:
         with _atomic(args.kbest_out) as tmp:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .diff_codec import repair, strip_to_target
 from .metrics import PRF, DEFAULT_BETA, GoldAnnotation, m2_maxmatch
@@ -84,7 +84,13 @@ class BiasVector:
 
 
 class ScorerContract(Protocol):
-    """A stateful decoding session over the extended vocabulary."""
+    """A stateful decoding session over the extended vocabulary.
+
+    States must be hashable, and ``dist(state)`` must depend on the state
+    alone: ``beam_decode`` calls ``dist`` once per distinct state and reuses
+    the result for every beam item that reaches an equal state.  That memo
+    lasts for one ``beam_decode`` call.
+    """
 
     def start(self, source: TokenSeq): ...
 
@@ -143,8 +149,7 @@ def _check_dist(dist: dict[str, float]) -> None:
 _OUT, _DEL, _INS = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class _Auto:
+class _Auto(NamedTuple):
     mode: int = _OUT
     consumed: int = 0
     span_len: int = 0
@@ -201,8 +206,7 @@ class _Auto:
 # beam search
 
 
-@dataclass(frozen=True)
-class _Beam:
+class _Beam(NamedTuple):
     raw: tuple[str, ...]
     state: object
     auto: _Auto
@@ -212,76 +216,87 @@ class _Beam:
     tagps: tuple[tuple[float, float, float, float], ...]
 
 
+def _ranked_moves(
+    candidates: list[tuple[str, float]], offsets: dict[str, float] | None
+) -> list[tuple[float, str, float]]:
+    """``(log of ranking value, token, p)`` best first; ties break on the token."""
+    if offsets is not None:
+        ranked = [(p + offsets.get(t, 0.0), t, p) for t, p in candidates]
+    else:
+        ranked = [(p, t, p) for t, p in candidates]
+    ranked.sort(key=lambda x: (-x[0], x[1]))
+    return [(_safe_log(r), t, p) for r, t, p in ranked]
+
+
 def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> list[Hypothesis]:
     """K-best beam search; every hypothesis is repaired before being returned.
 
     Candidate ranking uses ``apply_bias`` when cfg.bias is set.  Ties break
     on the token string per step and on the token tuple in the final order,
     so decoding is fully deterministic for a deterministic scorer.
+
+    Each distinct scorer state is scored and checked once per call: its
+    distribution, tag probabilities and ranked positive-probability moves
+    are kept in a dict that is dropped when the call returns.
     """
     if not source:
         raise ValueError("source must be nonempty")
     max_len = cfg.max_len if cfg.max_len is not None else 2 * len(source) + 10
-    if cfg.constrained and max_len < len(source) + 1:
+    constrained = cfg.constrained
+    if constrained and max_len < len(source) + 1:
         raise ValueError(
             f"constrained decode needs max_len >= {len(source) + 1} to emit the source"
         )
+    beam = cfg.beam
     offsets = cfg.bias.as_map() if cfg.bias is not None else None
 
+    # state -> (dist, tag probabilities, ranked positive-probability moves)
+    scored: dict = {}
     live = [_Beam((), scorer.start(source), _Auto(), 0.0, 0.0, (), ())]
     done: list[_Beam] = []
     for step_no in range(max_len):
         budget = max_len - step_no
-        pool: list[tuple[float, tuple[str, ...], _Beam, str, float, tuple]] = []
+        # (selection, token, parent, p, tag probabilities of the parent's step)
+        pool: list[tuple[float, str, _Beam, float, tuple]] = []
         for item in live:
-            dist = scorer.dist(item.state)
-            _check_dist(dist)
-            tagp = (
-                dist.get(DEL_OPEN, 0.0),
-                dist.get(DEL_CLOSE, 0.0),
-                dist.get(INS_OPEN, 0.0),
-                dist.get(INS_CLOSE, 0.0),
-            )
-            if cfg.constrained:
+            entry = scored.get(item.state)
+            if entry is None:
+                dist = scorer.dist(item.state)
+                _check_dist(dist)
+                tagp = (
+                    dist.get(DEL_OPEN, 0.0),
+                    dist.get(DEL_CLOSE, 0.0),
+                    dist.get(INS_OPEN, 0.0),
+                    dist.get(INS_CLOSE, 0.0),
+                )
+                positive = [(t, p) for t, p in dist.items() if p > 0.0]
+                entry = scored[item.state] = (dist, tagp, _ranked_moves(positive, offsets))
+            dist, tagp, moves = entry
+            if constrained:
                 mask = item.auto.allowed(source, dist, budget)
-                candidates = [(t, dist.get(t, 0.0)) for t in sorted(mask)]
-                if any(p > 0.0 for _, p in candidates):
-                    candidates = [(t, p) for t, p in candidates if p > 0.0]
-            else:
-                candidates = [(t, p) for t, p in dist.items() if p > 0.0]
-            if not candidates:
-                continue
-            if offsets is not None:
-                ranked = [(p + offsets.get(t, 0.0), t, p) for t, p in candidates]
-            else:
-                ranked = [(p, t, p) for t, p in candidates]
-            ranked.sort(key=lambda x: (-x[0], x[1]))
-            for rank, tok, p in ranked[: cfg.beam]:
-                sel = item.selection + _safe_log(rank)
-                pool.append((sel, item.raw + (tok,), item, tok, p, tagp))
+                moves = [m for m in moves if m[1] in mask]
+                if not moves:  # only zero-probability moves are legal
+                    moves = _ranked_moves([(t, dist.get(t, 0.0)) for t in sorted(mask)], offsets)
+            selection = item.selection
+            for log_rank, tok, p in moves[:beam]:
+                pool.append((selection + log_rank, tok, item, p, tagp))
         if not pool:
             break
-        pool.sort(key=lambda x: (-x[0], x[1]))
+        # every live raw has length step_no, so (raw, tok) orders as raw + (tok,)
+        pool.sort(key=lambda x: (-x[0], x[2].raw, x[1]))
         live = []
-        for sel, raw, item, tok, p, tagp in pool[: cfg.beam]:
-            logps = item.logps + (_safe_log(p),)
+        for sel, tok, item, p, tagp in pool[:beam]:
+            logp = _safe_log(p)
+            logps = item.logps + (logp,)
             tagps = item.tagps + (tagp,)
-            score = item.score + _safe_log(p)
+            score = item.score + logp
             if tok == EOS:
                 done.append(_Beam(item.raw, None, item.auto, sel, score, logps, tagps))
             else:
-                live.append(
-                    _Beam(
-                        raw,
-                        scorer.step(item.state, tok),
-                        item.auto.advance(source, tok),
-                        sel,
-                        score,
-                        logps,
-                        tagps,
-                    )
-                )
-        if len(done) >= cfg.beam or not live:
+                auto = item.auto.advance(source, tok) if constrained else item.auto
+                state = scorer.step(item.state, tok)
+                live.append(_Beam(item.raw + (tok,), state, auto, sel, score, logps, tagps))
+        if len(done) >= beam or not live:
             break
     for item in live:  # ran out of budget without EOS
         done.append(item)

@@ -18,7 +18,8 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decode_bias import EOS
 from .diff_codec import encode_diffs
@@ -199,8 +200,7 @@ def train_lm(
 # decoding session
 
 
-@dataclass(frozen=True)
-class RefState:
+class RefState(NamedTuple):
     src: tuple[str, ...]
     i: int  # next unconsumed source position
     mode: str  # out | del | postdel | ins
@@ -329,53 +329,50 @@ class RefScorer:
         return dist
 
     def step(self, state: RefState, token: str) -> RefState:
-        if state.done:
+        # states are built positionally: this runs once per beam survivor
+        src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key, done = state
+        if done:
             return state
         if token == EOS:
-            return replace(state, done=True)
-        if state.mode in ("out", "postdel"):
-            if token == DEL_OPEN:
-                return replace(state, mode="del", del_start=state.i, del_phrase=None)
-            if token == INS_OPEN:
-                repl_src = None
-                if state.mode == "postdel" and state.del_phrase in self.lexicon.replacements:
-                    repl_src = state.del_phrase
-                key = state.src[state.i - 1] if state.i > 0 else BOS
-                return replace(
-                    state,
-                    mode="ins",
-                    ins_prefix=(),
-                    repl_src=repl_src,
-                    ins_key=key,
-                    del_phrase=None,
-                )
-            if token in (DEL_CLOSE, INS_CLOSE):
-                return replace(state, mode="out", del_phrase=None)
-            consumed = state.i + 1 if state.i < len(state.src) else state.i
-            return replace(
-                state,
-                mode="out",
-                i=consumed,
-                ctx=self._push_ctx(state.ctx, token),
-                del_phrase=None,
+            return RefState(
+                src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key, True
             )
-        if state.mode == "del":
+        if mode in ("out", "postdel"):
+            if token == DEL_OPEN:
+                return RefState(src, i, "del", ctx, i, None, ins_prefix, repl_src, ins_key)
+            if token == INS_OPEN:
+                repl = None
+                if mode == "postdel" and del_phrase in self.lexicon.replacements:
+                    repl = del_phrase
+                key = src[i - 1] if i > 0 else BOS
+                return RefState(src, i, "ins", ctx, del_start, None, (), repl, key)
+            if token in (DEL_CLOSE, INS_CLOSE):
+                return RefState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
+            if i < len(src):
+                i += 1
+            ctx = self._push_ctx(ctx, token)
+            return RefState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
+        if mode == "del":
             if token == DEL_CLOSE:
-                phrase = tuple(state.src[state.del_start : state.i])
-                return replace(state, mode="postdel", del_phrase=phrase)
+                phrase = tuple(src[del_start:i])
+                return RefState(
+                    src, i, "postdel", ctx, del_start, phrase, ins_prefix, repl_src, ins_key
+                )
             if token in (DEL_OPEN, INS_OPEN, INS_CLOSE):
                 return state
-            consumed = state.i + 1 if state.i < len(state.src) else state.i
-            return replace(state, i=consumed)
+            if i < len(src):
+                i += 1
+            return RefState(
+                src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key
+            )
         # ins
         if token == INS_CLOSE:
-            return replace(state, mode="out", ins_prefix=(), repl_src=None, ins_key=None)
+            return RefState(src, i, "out", ctx, del_start, del_phrase, (), None, None)
         if token in (DEL_OPEN, DEL_CLOSE, INS_OPEN):
             return state
-        return replace(
-            state,
-            ins_prefix=state.ins_prefix + (token,),
-            ctx=self._push_ctx(state.ctx, token),
+        ctx = self._push_ctx(ctx, token)
+        return RefState(
+            src, i, mode, ctx, del_start, del_phrase, ins_prefix + (token,), repl_src, ins_key
         )
 
 
@@ -431,13 +428,54 @@ def save_model(path: str, lexicon: ConfusionLexicon, lm: NGramLM) -> None:
     os.replace(tmp, path)
 
 
+def _check_schema(obj, path: str) -> None:
+    """Raise ``ValueError(f"{path}: …")`` unless ``obj`` has the saved model's shape."""
+
+    def field(parent: dict, key: str, where: str):
+        if not isinstance(parent, dict):
+            raise ValueError(f"{path}: {where} must be an object")
+        if key not in parent:
+            raise ValueError(f"{path}: {where} is missing {key!r}")
+        return parent[key]
+
+    def number(value, where: str, kinds: tuple) -> None:
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{path}: {where} has the wrong type: {value!r}")
+
+    def pairs(value, where: str, check_second) -> None:
+        # a list of [text, value] pairs, as save_model writes them
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: {where} must be a list")
+        for item in value:
+            if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
+                raise ValueError(f"{path}: {where} entry is not a [text, value] pair: {item!r}")
+            check_second(item[1], where)
+
+    def count(value, where: str) -> None:
+        number(value, f"{where} count", (int,))
+
+    def counted(value, where: str) -> None:
+        pairs(value, where, count)
+
+    lex = field(obj, "lexicon", "model")
+    counted(field(lex, "deletions", "lexicon"), "lexicon.deletions")
+    for key in ("replacements", "insertions"):
+        pairs(field(lex, key, "lexicon"), f"lexicon.{key}", counted)
+    lm = field(obj, "lm", "model")
+    number(field(lm, "order", "lm"), "lm.order", (int,))
+    for key in ("interp", "unk_mass"):
+        number(field(lm, key, "lm"), f"lm.{key}", (int, float))
+    pairs(field(lm, "counts", "lm"), "lm.counts", counted)
+
+
 def load_model(path: str) -> tuple[ConfusionLexicon, NGramLM]:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("format") != MODEL_FORMAT:
+    if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a reference model file")
     if obj.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {obj.get('version')!r}")
+    _check_schema(obj, path)
     lex_obj = obj["lexicon"]
     lexicon = ConfusionLexicon(
         replacements={

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,61 @@ class TestDecodePipeline:
         assert code == 0
         assert len(Path("best.tag").read_text().splitlines()) == 2
         assert len(Path("kb2.jsonl").read_text().splitlines()) == len(lines)
+
+    def kbest_for(self, sources: str) -> list[str]:
+        model = train_model()
+        write("test.src", sources)
+        assert main(
+            [
+                "decode", "--model", model, "--src", "test.src", "--out", "hyp.tag",
+                "--kbest", "kb.jsonl", "--beam", "3",
+            ]
+        ) == 0
+        return Path("kb.jsonl").read_text().splitlines()
+
+    def test_rerank_src_pairs_by_id(self):
+        # the two corrections sit at different positions, so repairing one
+        # onto the other's source changes the output
+        lines = self.kbest_for("teh mouse sat\nsee teh bird\n")
+        shuffled = list(lines)
+        random.Random(7).shuffle(shuffled)
+        expected = (
+            "<del> teh </del> <ins> the </ins> mouse sat\n"
+            "see <del> teh </del> <ins> the </ins> bird\n"
+        )
+        for dump in (lines, lines[::-1], shuffled):
+            write("moved.jsonl", "\n".join(dump) + "\n")
+            args = ["--kbest", "moved.jsonl", "--bias", "0.2", "--src", "test.src"]
+            assert main(["rerank", *args, "--out", "best.tag"]) == 0
+            assert Path("best.tag").read_text() == expected
+
+    def test_rerank_src_rejects_missing_id(self, capsys):
+        lines = self.kbest_for("teh mouse sat\nsee teh bird\n")
+        moved = []
+        for line in lines:
+            rec = json.loads(line)
+            if rec["id"] == 1:
+                rec["id"] = 2  # ids 0 and 2 for two source lines: 1 is missing
+            moved.append(json.dumps(rec))
+        write("gap.jsonl", "\n".join(moved) + "\n")
+        capsys.readouterr()
+        code = main(["rerank", "--kbest", "gap.jsonl", "--src", "test.src", "--out", "o.tag"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: gap.jsonl: ")
+        assert "missing [1]" in err[0] and "unexpected [2]" in err[0]
+        assert not Path("o.tag").exists()
+
+    def test_decode_rejects_model_missing_key(self, capsys):
+        model = train_model()
+        obj = json.loads(Path(model).read_text())
+        del obj["lm"]
+        Path(model).write_text(json.dumps(obj))
+        write("test.src", TEST_SRC)
+        capsys.readouterr()
+        assert main(["decode", "--model", model, "--src", "test.src", "--out", "o.tag"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {model}: ")
 
     def test_tune_table(self, capsys):
         model = train_model()

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -9,7 +11,11 @@ from gecdiff.decode_bias import (
     EOS,
     BiasVector,
     DecodeConfig,
+    Hypothesis,
     KBestRecord,
+    _Auto,
+    _check_dist,
+    _safe_log,
     apply_bias,
     beam_decode,
     grid_search_tune,
@@ -18,8 +24,9 @@ from gecdiff.decode_bias import (
     rerank_kbest,
     write_kbest,
 )
-from gecdiff.diff_codec import parse_spans, validate_tagged
+from gecdiff.diff_codec import parse_spans, repair, validate_tagged
 from gecdiff.metrics import PRF, f_beta
+from gecdiff.reference_scorer import harvest, scorer, train_lm
 from gecdiff.text_norm import DEL_CLOSE, DEL_OPEN, INS_CLOSE, INS_OPEN, TAG_TOKENS
 
 
@@ -319,3 +326,235 @@ class TestKBest:
         k0 = ids.count(0)
         assert ids == [0] * k0 + [1] * (len(ids) - k0)
         assert sorted(r.tokens for r in out) == sorted(r.tokens for r in records)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the reference decoder
+
+
+@dataclass(frozen=True)
+class _Beam:
+    raw: tuple[str, ...]
+    state: object
+    auto: _Auto
+    selection: float
+    score: float
+    logps: tuple[float, ...]
+    tagps: tuple[tuple[float, float, float, float], ...]
+
+
+def oracle_beam_decode(scorer, source, cfg):
+    """Reference decoder: scores every live item and copies every candidate.
+
+    ``beam_decode`` must return exactly what this returns, float for float.
+    """
+    if not source:
+        raise ValueError("source must be nonempty")
+    max_len = cfg.max_len if cfg.max_len is not None else 2 * len(source) + 10
+    if cfg.constrained and max_len < len(source) + 1:
+        raise ValueError(
+            f"constrained decode needs max_len >= {len(source) + 1} to emit the source"
+        )
+    offsets = cfg.bias.as_map() if cfg.bias is not None else None
+
+    live = [_Beam((), scorer.start(source), _Auto(), 0.0, 0.0, (), ())]
+    done: list[_Beam] = []
+    for step_no in range(max_len):
+        budget = max_len - step_no
+        pool: list[tuple[float, tuple[str, ...], _Beam, str, float, tuple]] = []
+        for item in live:
+            dist = scorer.dist(item.state)
+            _check_dist(dist)
+            tagp = (
+                dist.get(DEL_OPEN, 0.0),
+                dist.get(DEL_CLOSE, 0.0),
+                dist.get(INS_OPEN, 0.0),
+                dist.get(INS_CLOSE, 0.0),
+            )
+            if cfg.constrained:
+                mask = item.auto.allowed(source, dist, budget)
+                candidates = [(t, dist.get(t, 0.0)) for t in sorted(mask)]
+                if any(p > 0.0 for _, p in candidates):
+                    candidates = [(t, p) for t, p in candidates if p > 0.0]
+            else:
+                candidates = [(t, p) for t, p in dist.items() if p > 0.0]
+            if not candidates:
+                continue
+            if offsets is not None:
+                ranked = [(p + offsets.get(t, 0.0), t, p) for t, p in candidates]
+            else:
+                ranked = [(p, t, p) for t, p in candidates]
+            ranked.sort(key=lambda x: (-x[0], x[1]))
+            for rank, tok, p in ranked[: cfg.beam]:
+                sel = item.selection + _safe_log(rank)
+                pool.append((sel, item.raw + (tok,), item, tok, p, tagp))
+        if not pool:
+            break
+        pool.sort(key=lambda x: (-x[0], x[1]))
+        live = []
+        for sel, raw, item, tok, p, tagp in pool[: cfg.beam]:
+            logps = item.logps + (_safe_log(p),)
+            tagps = item.tagps + (tagp,)
+            score = item.score + _safe_log(p)
+            if tok == EOS:
+                done.append(_Beam(item.raw, None, item.auto, sel, score, logps, tagps))
+            else:
+                live.append(
+                    _Beam(
+                        raw,
+                        scorer.step(item.state, tok),
+                        item.auto.advance(source, tok),
+                        sel,
+                        score,
+                        logps,
+                        tagps,
+                    )
+                )
+        if len(done) >= cfg.beam or not live:
+            break
+    for item in live:  # ran out of budget without EOS
+        done.append(item)
+    done.sort(key=lambda b: (-b.selection, b.raw))
+    out = []
+    for b in done[: cfg.beam]:
+        out.append(
+            Hypothesis(
+                tagged=tuple(repair(list(b.raw), source)),
+                raw=b.raw,
+                score=b.score,
+                token_logprobs=b.logps,
+                tag_probs=b.tagps,
+                selection_score=b.selection,
+                terminated=b.state is None,
+            )
+        )
+    return out
+
+
+class TieScorer(FuzzScorer):
+    """Weights from a few levels, so probabilities and path scores tie exactly."""
+
+    def dist(self, state):
+        src, hist = state
+        rng = random.Random(f"{self.seed}|{hist!r}")
+        toks = list(self.vocab) + list(TAG_TOKENS) + [EOS]
+        ws = [rng.choice((0, 1, 1, 2)) for _ in toks]
+        ws[-1] = 1 + len(hist)  # push termination
+        total = sum(ws)
+        return {t: w / total for t, w in zip(toks, ws)}
+
+
+def synthetic_ref_scorer(seed, **weights):
+    """A reference scorer trained on seeded pairs carrying all three edit kinds."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(12)]
+    confusable = {w: f"x{i}" for i, w in enumerate(words[:4])}
+    pairs, sources = [], []
+    for _ in range(60):
+        target = [rng.choice(words) for _ in range(rng.randint(3, 7))]
+        source = []
+        for w in target:
+            r = rng.random()
+            if r < 0.1 and w in confusable:
+                source.append(confusable[w])
+            elif r < 0.15:
+                continue  # missing word: an insertion edit
+            else:
+                source.append(w)
+            if rng.random() < 0.05:
+                source.append("the")  # spurious word: a deletion edit
+        if source:
+            pairs.append((source, target))
+            sources.append(source)
+    sc = scorer(harvest(pairs), train_lm([t for _, t in pairs]), **weights)
+    return sc, sources[:6]
+
+
+def equivalence_cases():
+    biases = {
+        "none": None,
+        "zero": BiasVector.zero(),
+        "tied": BiasVector.tied(0.3),
+        "untied": BiasVector(0.7, 0.1, 0.5, 0.0),
+    }
+    ref_default, ref_sources = synthetic_ref_scorer(3)
+    ref_light, _ = synthetic_ref_scorer(3, edit_weight=0.003)
+    scorers = [
+        ("fuzz", [FuzzScorer(seed) for seed in range(3)], [SRC, ["a", "b", "c", "a"]]),
+        ("ties", [TieScorer(seed) for seed in range(3)], [SRC, ["a", "b", "c", "a"]]),
+        ("ref-default", [ref_default], ref_sources),
+        ("ref-light", [ref_light], ref_sources),
+    ]
+    for name, scs, sources in scorers:
+        for constrained in (False, True):
+            for bias_name, bias in biases.items():
+                # "tight": the shortest budget a constrained decode accepts
+                for beam, tight in ((1, False), (3, False), (10, False), (3, True)):
+                    yield pytest.param(
+                        scs, sources, constrained, bias, beam, tight,
+                        id=f"{name}-{'con' if constrained else 'free'}-{bias_name}-beam{beam}"
+                        + ("-tight" if tight else ""),
+                    )
+
+
+@pytest.mark.parametrize(
+    "scs,sources,constrained,bias,beam,tight", list(equivalence_cases())
+)
+def test_matches_reference_decoder(scs, sources, constrained, bias, beam, tight):
+    for sc in scs:
+        for src in sources:
+            limit = len(src) + 1 if tight else None
+            cfg = DecodeConfig(beam=beam, constrained=constrained, bias=bias, max_len=limit)
+            assert beam_decode(sc, src, cfg) == oracle_beam_decode(sc, src, cfg)
+
+
+class CountingScorer:
+    """Wraps a scorer and counts ``dist`` calls per state."""
+
+    def __init__(self, inner, bad_state=None):
+        self.inner = inner
+        self.calls = Counter()
+        self.bad_state = bad_state
+
+    def start(self, source):
+        return self.inner.start(source)
+
+    def step(self, state, token):
+        return self.inner.step(state, token)
+
+    def dist(self, state):
+        self.calls[state] += 1
+        d = self.inner.dist(state)
+        if state == self.bad_state:
+            return {t: p / 2 for t, p in d.items()}  # sums to 0.5
+        return d
+
+
+class TestScoredOncePerDecode:
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_one_dist_call_per_distinct_state(self, constrained):
+        ref, sources = synthetic_ref_scorer(5)
+        for inner in (FuzzScorer(1), ref):
+            for src in (SRC, *sources):
+                cfg = DecodeConfig(beam=10, constrained=constrained, bias=BiasVector.tied(0.3))
+                oracle = CountingScorer(inner)
+                oracle_beam_decode(oracle, src, cfg)
+                counting = CountingScorer(inner)
+                beam_decode(counting, src, cfg)
+                assert set(counting.calls) == set(oracle.calls)
+                assert set(counting.calls.values()) == {1}
+                # a second decode scores afresh: nothing is kept between calls
+                beam_decode(counting, src, cfg)
+                assert set(counting.calls.values()) == {2}
+
+    def test_malformed_distribution_raises_when_first_seen(self):
+        inner = FuzzScorer(2)
+        for constrained in (False, True):
+            cfg = DecodeConfig(beam=10, constrained=constrained)
+            probe = CountingScorer(inner)
+            beam_decode(probe, SRC, cfg)
+            bad = list(probe.calls)[1]  # a state first reached after the start
+            counting = CountingScorer(inner, bad_state=bad)
+            with pytest.raises(ValueError, match="sums to"):
+                beam_decode(counting, SRC, cfg)
+            assert counting.calls[bad] == 1

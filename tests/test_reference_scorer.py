@@ -233,3 +233,49 @@ class TestModelFiles:
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert "version" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda obj: obj.pop("lm"), id="no-lm"),
+            pytest.param(lambda obj: obj.pop("lexicon"), id="no-lexicon"),
+            pytest.param(lambda obj: obj["lm"].pop("counts"), id="no-lm-counts"),
+            pytest.param(lambda obj: obj["lm"].pop("order"), id="no-lm-order"),
+            pytest.param(lambda obj: obj["lexicon"].pop("deletions"), id="no-deletions"),
+            pytest.param(
+                lambda obj: obj["lexicon"].__setitem__("replacements", {"teh": 3}),
+                id="replacements-object",
+            ),
+            pytest.param(
+                lambda obj: obj["lexicon"].__setitem__("insertions", "teh"),
+                id="insertions-string",
+            ),
+            pytest.param(
+                lambda obj: obj["lexicon"]["replacements"][0].__setitem__(0, 5),
+                id="phrase-number",
+            ),
+            pytest.param(
+                lambda obj: obj["lexicon"]["replacements"][0][1][0].__setitem__(1, "3"),
+                id="count-string",
+            ),
+            pytest.param(lambda obj: obj["lm"].__setitem__("order", "3"), id="order-string"),
+            pytest.param(lambda obj: obj["lm"].__setitem__("interp", None), id="interp-null"),
+            pytest.param(
+                lambda obj: obj["lm"]["counts"][0][1][0].__setitem__(1, 2.5),
+                id="lm-count-float",
+            ),
+            pytest.param(lambda obj: obj["lm"]["counts"].append(["a b"]), id="short-pair"),
+            pytest.param(lambda obj: obj.__setitem__("lm", [1, 2]), id="lm-list"),
+        ],
+    )
+    def test_rejects_broken_schema(self, tmp_path, corrupt):
+        import json
+
+        path = str(tmp_path / "model.json")
+        save_model(path, harvest(TEH_PAIRS), train_lm([t for _, t in TEH_PAIRS]))
+        obj = json.loads(open(path).read())
+        corrupt(obj)
+        open(path, "w").write(json.dumps(obj))
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
