@@ -1,8 +1,9 @@
 """Command-line entry point: the pipeline as file-to-file subcommands.
 
 Every run writes a manifest (subcommand, resolved config, paths, seed,
-version) next to its primary output so experiments can be replayed.  Output
-files are written atomically; a failed run leaves no partial files behind.
+version) next to its primary output, or next to its first input when it
+writes no file, so experiments can be replayed.  Output files are written
+atomically; a failed run leaves no partial files behind.
 """
 
 from __future__ import annotations
@@ -554,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--manifest", help="manifest path (default: next to output)")
+        p.add_argument("--manifest", help="manifest path (default: next to output or first input)")
         return p
 
     p = add("tokenize", _cmd_tokenize, "tokenize raw text lines")
@@ -687,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
         inputs, outputs, seed = args.func(args)
         manifest_path = args.manifest
         if manifest_path is None:
-            base = outputs[0] if outputs else args.cmd
+            base = outputs[0] if outputs else f"{inputs[0]}.{args.cmd}"
             manifest_path = base + ".manifest.json"
         config = {
             k: v

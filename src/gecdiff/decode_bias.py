@@ -86,10 +86,13 @@ class BiasVector:
 class ScorerContract(Protocol):
     """A stateful decoding session over the extended vocabulary.
 
-    States must be hashable, and ``dist(state)`` must depend on the state
-    alone: ``beam_decode`` calls ``dist`` once per distinct state and reuses
-    the result for every beam item that reaches an equal state.  That memo
-    lasts for one ``beam_decode`` call.
+    States must be hashable, ``dist(state)`` must depend on the state alone,
+    and ``step(state, token)`` must be a pure function of its arguments.
+    ``beam_decode`` calls ``dist`` once per distinct state and reuses the
+    result for every beam item that reaches an equal state; that memo lasts
+    for one ``beam_decode`` call.  ``grid_search_tune`` also reuses both
+    results across the grid points of one dev sentence, and drops them when
+    it moves to the next sentence.
     """
 
     def start(self, source: TokenSeq): ...
@@ -336,6 +339,43 @@ def _grid_values(grid_step: float) -> list[float]:
     return [round(i * grid_step, 10) for i in range(k + 1)]
 
 
+class _MemoScorer:
+    """Caches a scorer's ``dist`` and ``step`` results for one source.
+
+    Sound because both are pure functions of their arguments (see
+    ``ScorerContract``); it lasts for the decodes of one dev sentence.
+    """
+
+    def __init__(self, scorer: ScorerContract) -> None:
+        self.scorer = scorer
+        self.dists: dict = {}
+        self.steps: dict = {}
+
+    def start(self, source: TokenSeq):
+        return self.scorer.start(source)
+
+    def dist(self, state) -> dict[str, float]:
+        dist = self.dists.get(state)
+        if dist is None:
+            dist = self.dists[state] = self.scorer.dist(state)
+        return dist
+
+    def step(self, state, token: str):
+        key = (state, token)
+        if key not in self.steps:
+            self.steps[key] = self.scorer.step(state, token)
+        return self.steps[key]
+
+
+def _first_argmax(prfs: list[PRF]) -> int:
+    best, best_f = None, -1.0
+    for i, prf in enumerate(prfs):
+        if prf.f_beta > best_f:
+            best, best_f = i, prf.f_beta
+    assert best is not None
+    return best
+
+
 def grid_search_tune(
     scorer: ScorerContract,
     dev: list[tuple[TokenSeq, GoldAnnotation]],
@@ -352,51 +392,48 @@ def grid_search_tune(
     step 0.1); untied mode sweeps each component in turn, holding the others
     at their current best.  Ties go to the smaller bias.  ``evaluate`` may
     replace the decode-and-score step (same signature) for curve injection
-    or caching; by default each grid point 1-best-decodes dev, strips, and
-    MaxMatch-scores against gold with pooled counts.
+    or caching; it is called once per grid point, in grid order.  By
+    default each dev sentence is 1-best-decoded at every bias of a sweep,
+    stripped, and MaxMatch-scored against gold, reusing that sentence's
+    scorer results and its M2 score per distinct stripped 1-best; counts
+    are pooled per bias in dev order.
     """
     if not dev:
         raise ValueError("dev set must be nonempty")
     values = _grid_values(grid_step)
 
-    if evaluate is None:
-
-        def evaluate(bias: BiasVector) -> PRF:
-            tp = fp = fn = 0.0
-            for src, gold in dev:
-                hyp = beam_decode(scorer, src, replace(cfg, bias=bias))[0]
+    def sweep(biases: list[BiasVector]) -> list[PRF]:
+        if evaluate is not None:
+            return [evaluate(bias) for bias in biases]
+        cfgs = [replace(cfg, bias=bias) for bias in biases]
+        counts = [[0.0, 0.0, 0.0] for _ in biases]
+        for src, gold in dev:
+            memo = _MemoScorer(scorer)
+            scores: dict[tuple[str, ...], PRF] = {}
+            for bias_cfg, count in zip(cfgs, counts):
+                hyp = beam_decode(memo, src, bias_cfg)[0]
                 stripped = strip_to_target(list(hyp.tagged))
-                prf = m2_maxmatch(stripped, gold, max_unchanged, beta)
-                tp += prf.tp
-                fp += prf.fp
-                fn += prf.fn
-            return PRF.from_counts(tp, fp, fn, beta)
+                key = tuple(stripped)
+                prf = scores.get(key)
+                if prf is None:
+                    prf = scores[key] = m2_maxmatch(stripped, gold, max_unchanged, beta)
+                count[0] += prf.tp
+                count[1] += prf.fp
+                count[2] += prf.fn
+        return [PRF.from_counts(tp, fp, fn, beta) for tp, fp, fn in counts]
 
-    curve: list[tuple[BiasVector, PRF]] = []
     if tied:
-        best_bias, best_f = None, -1.0
-        for v in values:
-            bias = BiasVector.tied(v)
-            prf = evaluate(bias)
-            curve.append((bias, prf))
-            if prf.f_beta > best_f:
-                best_bias, best_f = bias, prf.f_beta
-        assert best_bias is not None
-        return TuneResult(best_bias, tuple(curve))
+        biases = [BiasVector.tied(v) for v in values]
+        prfs = sweep(biases)
+        return TuneResult(biases[_first_argmax(prfs)], tuple(zip(biases, prfs)))
 
     current = [0.0, 0.0, 0.0, 0.0]
+    curve: list[tuple[BiasVector, PRF]] = []
     for comp in range(4):
-        best_v, best_f = None, -1.0
-        for v in values:
-            trial = list(current)
-            trial[comp] = v
-            bias = BiasVector(*trial)
-            prf = evaluate(bias)
-            curve.append((bias, prf))
-            if prf.f_beta > best_f:
-                best_v, best_f = v, prf.f_beta
-        assert best_v is not None
-        current[comp] = best_v
+        biases = [BiasVector(*current[:comp], v, *current[comp + 1 :]) for v in values]
+        prfs = sweep(biases)
+        curve.extend(zip(biases, prfs))
+        current[comp] = values[_first_argmax(prfs)]
     return TuneResult(BiasVector(*current), tuple(curve))
 
 

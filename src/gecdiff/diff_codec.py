@@ -177,6 +177,7 @@ def validate_tagged(tagged: TokenSeq, source: TokenSeq) -> ValidityReport:
     violations: list[Violation] = []
     mode = "plain"
     ptr = 0  # next source token expected
+    last = {tok: j for j, tok in enumerate(source)}  # last index of each token
     for i, tok in enumerate(tagged):
         if is_domain_token(tok):
             if i != 0:
@@ -201,7 +202,7 @@ def validate_tagged(tagged: TokenSeq, source: TokenSeq) -> ValidityReport:
         # Outside insertions the stream must replay source in order.
         if ptr < len(source) and tok == source[ptr]:
             ptr += 1
-        elif tok in source[ptr + 1 :]:
+        elif last.get(tok, -1) > ptr:
             violations.append(Violation(i, "source-order-violation"))
         else:
             violations.append(Violation(i, "out-of-source-token"))

@@ -1,0 +1,25 @@
+"""Print the acceptance suite's verdict lines in pytest's terminal summary.
+
+Each test in ``tests/test_acceptance.py`` prints one ``[PASS]``/``[FAIL]``
+line.  Pytest captures that output per test, so the lines are read back from
+every test's captured stdout and printed together, in check order, at the
+end of the run.  Under ``-s`` nothing is captured and the lines print live.
+"""
+
+from __future__ import annotations
+
+import re
+
+_VERDICT = re.compile(r"\[(?:PASS|FAIL)\] (\d\d) ")
+
+
+def pytest_terminal_summary(terminalreporter):
+    lines = []
+    for reports in terminalreporter.stats.values():
+        for rep in reports:
+            if getattr(rep, "when", None) == "call":
+                lines += [ln for ln in rep.capstdout.splitlines() if _VERDICT.match(ln)]
+    if lines:
+        terminalreporter.section("acceptance verdicts")
+        for line in sorted(lines, key=lambda ln: _VERDICT.match(ln).group(1)):
+            terminalreporter.write_line(line)

@@ -1,7 +1,8 @@
 """Acceptance suite: the shipped guarantees, one test and one printed line each.
 
-Every test prints a [PASS]/[FAIL] line on the unbuffered stdout so the verdicts
-stay visible under pytest's capture; the assertion enforces the same condition.
+Every test prints a [PASS]/[FAIL] line; ``tests/conftest.py`` collects the
+lines from pytest's capture and prints them in the terminal summary.  The
+assertion enforces the same condition.
 Fuzz loops use frozen seeds, so failures reproduce exactly.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 import time
 from collections import Counter
 
@@ -42,8 +42,7 @@ from gecdiff.text_norm import TAG_TOKENS
 
 
 def _report(num: int, ok: bool, text: str) -> None:
-    # sys.__stdout__ bypasses pytest capture; the verdict must stay visible
-    print(f"[{'PASS' if ok else 'FAIL'}] {num:02d} {text}", file=sys.__stdout__)
+    print(f"[{'PASS' if ok else 'FAIL'}] {num:02d} {text}")
 
 
 # Tied-sweep fixture: (bias, precision%, recall%, F0.5%).  The F column is

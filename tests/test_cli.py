@@ -82,6 +82,28 @@ class TestTokenizeAndManifest:
         assert main(["tokenize", "--in", "raw.txt", "--out", "t.txt", "--manifest", "runs/m.json"]) == 0
         assert json.loads(Path("runs/m.json").read_text())["subcommand"] == "tokenize"
 
+    def test_manifest_beside_first_input_without_output(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        model = str(data / "model.json")
+        for name, text in (("train.src", TRAIN_SRC), ("train.tgt", TRAIN_TGT),
+                           ("dev.src", TEST_SRC), ("dev.tgt", TEST_REF),
+                           ("bad.txt", "a </del> b\n"), ("s.txt", "a b\n")):
+            (data / name).write_text(text)
+        assert main(["train-ref", "--src", str(data / "train.src"), "--tgt",
+                     str(data / "train.tgt"), "--model", model]) == 0
+        assert main(["validate", "--in", str(data / "bad.txt"), "--src", str(data / "s.txt")]) == 0
+        assert main(["tune", "--model", model, "--src", str(data / "dev.src"), "--tgt",
+                     str(data / "dev.tgt"), "--grid-step", "0.5"]) == 0
+        assert list(work.iterdir()) == []
+        validate = json.loads((data / "bad.txt.validate.manifest.json").read_text())
+        assert validate["subcommand"] == "validate" and validate["outputs"] == []
+        tune = json.loads((data / "model.json.tune.manifest.json").read_text())
+        assert tune["subcommand"] == "tune" and tune["inputs"][0] == model
+
 
 class TestDiffStripRepair:
     def test_diff_then_strip_round_trips(self):

@@ -3,18 +3,21 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
+from gecdiff import decode_bias
 from gecdiff.decode_bias import (
     EOS,
     BiasVector,
     DecodeConfig,
     Hypothesis,
     KBestRecord,
+    TuneResult,
     _Auto,
     _check_dist,
+    _grid_values,
     _safe_log,
     apply_bias,
     beam_decode,
@@ -24,8 +27,9 @@ from gecdiff.decode_bias import (
     rerank_kbest,
     write_kbest,
 )
-from gecdiff.diff_codec import parse_spans, repair, validate_tagged
-from gecdiff.metrics import PRF, f_beta
+from gecdiff.diff_codec import encode_diffs, parse_spans, repair, strip_to_target, validate_tagged
+from gecdiff.edit_extract import edits_from_tagged
+from gecdiff.metrics import PRF, DEFAULT_BETA, GoldAnnotation, f_beta, m2_maxmatch
 from gecdiff.reference_scorer import harvest, scorer, train_lm
 from gecdiff.text_norm import DEL_CLOSE, DEL_OPEN, INS_CLOSE, INS_OPEN, TAG_TOKENS
 
@@ -509,21 +513,32 @@ def test_matches_reference_decoder(scs, sources, constrained, bias, beam, tight)
 
 
 class CountingScorer:
-    """Wraps a scorer and counts ``dist`` calls per state."""
+    """Wraps a scorer and counts ``dist`` calls per state.
+
+    ``sentence_calls`` and ``sentence_steps`` count ``dist`` calls per
+    ``(source, state)`` and ``step`` calls per ``(source, state, token)``,
+    where source is the one last passed to ``start``.
+    """
 
     def __init__(self, inner, bad_state=None):
         self.inner = inner
         self.calls = Counter()
         self.bad_state = bad_state
+        self.source = None
+        self.sentence_calls = Counter()
+        self.sentence_steps = Counter()
 
     def start(self, source):
+        self.source = tuple(source)
         return self.inner.start(source)
 
     def step(self, state, token):
+        self.sentence_steps[(self.source, state, token)] += 1
         return self.inner.step(state, token)
 
     def dist(self, state):
         self.calls[state] += 1
+        self.sentence_calls[(self.source, state)] += 1
         d = self.inner.dist(state)
         if state == self.bad_state:
             return {t: p / 2 for t, p in d.items()}  # sums to 0.5
@@ -558,3 +573,172 @@ class TestScoredOncePerDecode:
             with pytest.raises(ValueError, match="sums to"):
                 beam_decode(counting, SRC, cfg)
             assert counting.calls[bad] == 1
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the grid-major tuner
+
+
+def oracle_grid_search_tune(
+    scorer,
+    dev,
+    grid_step=0.1,
+    tied=True,
+    cfg=DecodeConfig(),
+    max_unchanged=2,
+    beta=DEFAULT_BETA,
+    evaluate=None,
+):
+    """Reference tuner: decodes all of dev at one grid point, then the next.
+
+    ``grid_search_tune`` must return exactly what this returns, float for float.
+    """
+    if not dev:
+        raise ValueError("dev set must be nonempty")
+    values = _grid_values(grid_step)
+
+    if evaluate is None:
+
+        def evaluate(bias: BiasVector) -> PRF:
+            tp = fp = fn = 0.0
+            for src, gold in dev:
+                hyp = beam_decode(scorer, src, replace(cfg, bias=bias))[0]
+                stripped = strip_to_target(list(hyp.tagged))
+                prf = m2_maxmatch(stripped, gold, max_unchanged, beta)
+                tp += prf.tp
+                fp += prf.fp
+                fn += prf.fn
+            return PRF.from_counts(tp, fp, fn, beta)
+
+    curve: list[tuple[BiasVector, PRF]] = []
+    if tied:
+        best_bias, best_f = None, -1.0
+        for v in values:
+            bias = BiasVector.tied(v)
+            prf = evaluate(bias)
+            curve.append((bias, prf))
+            if prf.f_beta > best_f:
+                best_bias, best_f = bias, prf.f_beta
+        assert best_bias is not None
+        return TuneResult(best_bias, tuple(curve))
+
+    current = [0.0, 0.0, 0.0, 0.0]
+    for comp in range(4):
+        best_v, best_f = None, -1.0
+        for v in values:
+            trial = list(current)
+            trial[comp] = v
+            bias = BiasVector(*trial)
+            prf = evaluate(bias)
+            curve.append((bias, prf))
+            if prf.f_beta > best_f:
+                best_v, best_f = v, prf.f_beta
+        assert best_v is not None
+        current[comp] = best_v
+    return TuneResult(BiasVector(*current), tuple(curve))
+
+
+def tune_dev(sc, sources, seed):
+    """Dev pairs: each source with gold edits towards a seeded target.
+
+    Most targets are the scorer's own 1-best at a random tied bias, so some
+    grid points score true positives; the rest are noisy rewrites.
+    """
+    rng = random.Random(seed)
+    dev = []
+    for src in sources:
+        if rng.random() < 0.7:
+            cfg = DecodeConfig(beam=1, bias=BiasVector.tied(rng.choice(_grid_values(0.1))))
+            tgt = strip_to_target(list(beam_decode(sc, src, cfg)[0].tagged))
+        else:
+            tgt = [w if rng.random() < 0.7 else rng.choice(("a", "b", "the")) for w in src]
+        edits = edits_from_tagged(encode_diffs(list(src), tgt))
+        dev.append((list(src), GoldAnnotation(list(src), {0: edits})))
+    return dev
+
+
+def tune_cases():
+    ref_default, ref_sources = synthetic_ref_scorer(3)
+    ref_light, _ = synthetic_ref_scorer(3, edit_weight=0.003)
+    toy_sources = [SRC, ["a", "b", "c", "a"], ["c", "a"]]
+    scorers = [
+        ("fuzz", FuzzScorer(4), toy_sources),
+        ("ties", TieScorer(5), toy_sources),
+        ("ref-default", ref_default, ref_sources),
+        ("ref-light", ref_light, ref_sources),
+    ]
+    for name, sc, sources in scorers:
+        for tied in (True, False):
+            for constrained in (False, True):
+                # "tight": the shortest budget a constrained decode of dev accepts
+                for beam, tight in ((1, False), (3, False), (3, True)):
+                    yield pytest.param(
+                        sc, sources, tied, constrained, beam, tight,
+                        id=f"{name}-{'tied' if tied else 'untied'}-"
+                        f"{'con' if constrained else 'free'}-beam{beam}" + ("-tight" if tight else ""),
+                    )
+
+
+@pytest.mark.parametrize("sc,sources,tied,constrained,beam,tight", list(tune_cases()))
+def test_tune_matches_grid_major_tuner(sc, sources, tied, constrained, beam, tight):
+    dev = tune_dev(sc, sources, seed=beam)
+    limit = max(len(src) for src in sources) + 1 if tight else None
+    cfg = DecodeConfig(beam=beam, constrained=constrained, max_len=limit)
+    step = 0.1 if tied else 0.25
+    got = grid_search_tune(sc, dev, grid_step=step, tied=tied, cfg=cfg)
+    assert got == oracle_grid_search_tune(sc, dev, grid_step=step, tied=tied, cfg=cfg)
+
+
+class TestTuneReuse:
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_scorer_called_once_per_distinct_state_per_sentence(self, constrained):
+        ref, sources = synthetic_ref_scorer(5)
+        cfg = DecodeConfig(beam=3, constrained=constrained)
+        for inner, srcs in ((FuzzScorer(1), [SRC, ["a", "b"]]), (ref, sources)):
+            # the first source comes again last: its memos must not survive in between
+            dev = tune_dev(inner, srcs + srcs[:1], seed=7)
+            oracle = CountingScorer(inner)
+            want = oracle_grid_search_tune(oracle, dev, cfg=cfg)
+            counting = CountingScorer(inner)
+            assert grid_search_tune(counting, dev, cfg=cfg) == want
+            assert set(counting.sentence_calls) == set(oracle.sentence_calls)
+            assert set(counting.sentence_steps) == set(oracle.sentence_steps)
+            again = tuple(srcs[0])
+            for counts in (counting.sentence_calls, counting.sentence_steps):
+                for key, n in counts.items():
+                    assert n == (2 if key[0] == again else 1), key
+            # the grid-major tuner repeats both
+            assert max(oracle.sentence_calls.values()) > 2
+            assert max(oracle.sentence_steps.values()) > 2
+
+    def test_untied_scores_each_state_once_per_sweep(self):
+        ref, sources = synthetic_ref_scorer(5)
+        dev = tune_dev(ref, sources, seed=8)
+        counting = CountingScorer(ref)
+        grid_search_tune(counting, dev, grid_step=0.25, tied=False, cfg=DecodeConfig(beam=3))
+        assert max(counting.sentence_calls.values()) <= 4
+        assert max(counting.sentence_steps.values()) <= 4
+
+    def test_m2_once_per_distinct_stripped_best(self, monkeypatch):
+        ref, sources = synthetic_ref_scorer(3, edit_weight=0.003)
+        dev = tune_dev(ref, sources + sources[:1], seed=9)  # the first source comes again
+        cfg = DecodeConfig(beam=1)
+        calls = Counter()
+
+        def counting_m2(hyp, gold, *args):
+            calls[(tuple(gold.source), tuple(hyp))] += 1
+            return m2_maxmatch(hyp, gold, *args)
+
+        monkeypatch.setattr(decode_bias, "m2_maxmatch", counting_m2)
+        assert grid_search_tune(ref, dev, cfg=cfg) == oracle_grid_search_tune(ref, dev, cfg=cfg)
+        want = {
+            (tuple(src), tuple(strip_to_target(list(
+                beam_decode(ref, src, replace(cfg, bias=BiasVector.tied(v)))[0].tagged
+            ))))
+            for src, _ in dev
+            for v in _grid_values(0.1)
+        }
+        assert set(calls) == want
+        again = tuple(sources[0])
+        assert all(n == (2 if key[0] == again else 1) for key, n in calls.items())
+        assert len(calls) < 11 * len(dev)  # the grid repeats 1-bests

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gecdiff.diff_codec import (
     CHAR_DELIM,
     MalformedTagsError,
+    ValidityReport,
+    Violation,
     encode_diffs,
     from_char_view,
     parse_spans,
@@ -17,7 +21,7 @@ from gecdiff.diff_codec import (
     to_char_view,
     validate_tagged,
 )
-from gecdiff.text_norm import DEL_CLOSE, DEL_OPEN, INS_CLOSE, INS_OPEN
+from gecdiff.text_norm import DEL_CLOSE, DEL_OPEN, INS_CLOSE, INS_OPEN, is_domain_token
 
 SRC = ["the", "cat", "sat"]
 
@@ -131,6 +135,74 @@ class TestValidate:
     def test_insert_content_is_free(self):
         tagged = ["the", INS_OPEN, "zebra", "xylophone", INS_CLOSE, "cat", "sat"]
         assert validate_tagged(tagged, SRC).valid
+
+
+def oracle_validate_tagged(tagged, source):
+    """``validate_tagged`` with the per-token ``tok in source[ptr + 1:]`` scan."""
+    violations = []
+    mode = "plain"
+    ptr = 0  # next source token expected
+    for i, tok in enumerate(tagged):
+        if is_domain_token(tok):
+            if i != 0:
+                violations.append(Violation(i, "unbalanced-tag"))
+            continue
+        if tok in (DEL_OPEN, INS_OPEN):
+            want = "del" if tok == DEL_OPEN else "ins"
+            if mode != "plain":
+                violations.append(Violation(i, "unbalanced-tag"))
+            else:
+                mode = want
+            continue
+        if tok in (DEL_CLOSE, INS_CLOSE):
+            want = "del" if tok == DEL_CLOSE else "ins"
+            if mode != want:
+                violations.append(Violation(i, "unbalanced-tag"))
+            else:
+                mode = "plain"
+            continue
+        if mode == "ins":
+            continue  # insertion content is free
+        # Outside insertions the stream must replay source in order.
+        if ptr < len(source) and tok == source[ptr]:
+            ptr += 1
+        elif tok in source[ptr + 1 :]:
+            violations.append(Violation(i, "source-order-violation"))
+        else:
+            violations.append(Violation(i, "out-of-source-token"))
+    if mode != "plain":
+        violations.append(Violation(len(tagged), "unbalanced-tag"))
+    if ptr < len(source):
+        violations.append(Violation(len(tagged), "leftover-source"))
+    return ValidityReport(valid=not violations, violations=tuple(violations))
+
+
+def test_validate_matches_scanning_oracle():
+    rng = random.Random(2024)
+    words = ["a", "b", "c", "d", "e", "f"]
+    pool = words + ["zz", DEL_OPEN, DEL_CLOSE, INS_OPEN, INS_CLOSE, "<dom:x>"]
+    cases = []
+    for _ in range(3000):
+        source = [rng.choice(words) for _ in range(rng.randint(0, 12))]
+        target = [rng.choice(words) for _ in range(rng.randint(0, 12))]
+        tagged = encode_diffs(source, target)
+        for _ in range(rng.randint(0, 4)):  # corrupt the valid encoding
+            pos = rng.randint(0, len(tagged))
+            if tagged and rng.random() < 0.5:
+                del tagged[min(pos, len(tagged) - 1)]
+            else:
+                tagged.insert(pos, rng.choice(pool))
+        cases.append((tagged, source))
+        cases.append(([rng.choice(pool) for _ in range(rng.randint(0, 16))], source))
+    # long lines where nearly every token is off track
+    for n in (500, 2000):
+        source = [f"w{rng.randrange(n // 4)}" for _ in range(n)]
+        cases.append((source[::-1], source))
+        cases.append((rng.sample(source, n), source))
+        cases.append((source[1:] + ["<none>"] * n, source))
+        cases.append(([DEL_OPEN] + source[::2] + [DEL_CLOSE] + source[::-3], source))
+    for tagged, source in cases:
+        assert validate_tagged(tagged, source) == oracle_validate_tagged(tagged, source)
 
 
 class TestRepair:
