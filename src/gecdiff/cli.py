@@ -32,6 +32,7 @@ from .corpus_io import (
     length_filter,
     load_m2_gold,
     load_parallel,
+    read_lines,
     read_token_lines,
     write_parallel,
 )
@@ -106,11 +107,6 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _read_raw_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
-
-
 def _pct(x: float) -> str:
     return f"{x * 100:.2f}"
 
@@ -129,7 +125,7 @@ def _check_same_length(name_a: str, a: list, name_b: str, b: list) -> None:
 
 
 def _cmd_tokenize(args):
-    lines = _read_raw_lines(args.infile)
+    lines = read_lines(args.infile)
     _write_lines(args.out, [tokenize(line) for line in lines])
     return [args.infile], [args.out], None
 

@@ -43,7 +43,7 @@ class FilterReport:
             raise ValueError("filter report counts do not reconcile")
 
 
-def _read_lines(path: str) -> list[str]:
+def read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]
 
@@ -51,8 +51,8 @@ def _read_lines(path: str) -> list[str]:
 def load_parallel(
     src_path: str, tgt_path: str, dom_path: str | None = None
 ) -> list[SentencePair]:
-    src_lines = _read_lines(src_path)
-    tgt_lines = _read_lines(tgt_path)
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise ValueError(
             f"line count mismatch: {src_path} has {len(src_lines)}, "
@@ -60,7 +60,7 @@ def load_parallel(
         )
     domains: list[str | None]
     if dom_path is not None:
-        dom_lines = _read_lines(dom_path)
+        dom_lines = read_lines(dom_path)
         if len(dom_lines) != len(src_lines):
             raise ValueError(
                 f"line count mismatch: {src_path} has {len(src_lines)}, "
@@ -101,7 +101,7 @@ def write_parallel(
 
 
 def read_token_lines(path: str) -> list[TokenSeq]:
-    return [line.split() for line in _read_lines(path)]
+    return [line.split() for line in read_lines(path)]
 
 
 def write_token_lines(path: str, seqs: list[TokenSeq]) -> None:
@@ -295,7 +295,7 @@ def load_m2_gold(path: str) -> list[GoldAnnotation]:
         annotations.append(ann)
         source, edits = None, {}
 
-    for n, line in enumerate(_read_lines(path), 1):
+    for n, line in enumerate(read_lines(path), 1):
         where = f"{path}:{n}"
         if not line.strip():
             flush(where)

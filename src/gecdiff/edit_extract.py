@@ -4,7 +4,8 @@ Edits are produced two ways: from a unit-cost Levenshtein alignment of two
 token sequences, or directly from a diff-tagged sequence.  Both yield sorted,
 non-overlapping ``Edit`` lists that reproduce the target when applied to the
 source.  ``lattice_arcs`` additionally enumerates every mergeable alignment
-window (the candidate pool the MaxMatch scorer searches over).
+window as an ``Edit``; the MaxMatch scorer in ``metrics`` walks the same
+windows as integer spans instead of building them.
 """
 
 from __future__ import annotations
@@ -110,35 +111,54 @@ def levenshtein_align(s: TokenSeq, t: TokenSeq) -> AlignmentOps:
 
     Costs are 1 for substitute, delete, and insert.  Ties prefer substitute
     over delete over insert, resolved left to right.
+
+    The shared prefix is emitted as ``equal`` ops without filling its DP
+    cells: equal heads never change the distance, and the traceback takes
+    the diagonal first, so this is exact.  The shared suffix is not trimmed:
+    ``(["b", "b"], ["b"])`` aligns as ``equal`` then ``delete``, and a
+    suffix trim would swap the two.
     """
     ns, nt = len(s), len(t)
-    # dist[i][j] = edit distance between s[i:] and t[j:]
-    dist = [[0] * (nt + 1) for _ in range(ns + 1)]
-    for i in range(ns + 1):
-        dist[i][nt] = ns - i
-    for j in range(nt + 1):
-        dist[ns][j] = nt - j
-    for i in range(ns - 1, -1, -1):
+    p = 0
+    while p < ns and p < nt and s[p] == t[p]:
+        p += 1
+    ops: list[AlignOp] = [AlignOp("equal", i, i + 1, i, i + 1) for i in range(p)]
+    # dist[i][j] = edit distance between s[p + i:] and t[p + j:]
+    ms, mt = ns - p, nt - p
+    a, b = s[p:], t[p:]
+    dist = [[0] * (mt + 1) for _ in range(ms + 1)]
+    dist[ms] = list(range(mt, -1, -1))
+    for i in range(ms - 1, -1, -1):
         row = dist[i]
         below = dist[i + 1]
-        for j in range(nt - 1, -1, -1):
-            diag = below[j + 1] + (0 if s[i] == t[j] else 1)
-            row[j] = min(diag, below[j] + 1, row[j + 1] + 1)
-    ops: list[AlignOp] = []
+        ai = a[i]
+        right = row[mt] = ms - i
+        for j in range(mt - 1, -1, -1):
+            d = below[j + 1]
+            if ai != b[j]:
+                d += 1
+            x = below[j] + 1
+            if x < d:
+                d = x
+            right += 1
+            if right < d:
+                d = right
+            row[j] = right = d
     i = j = 0
-    while i < ns or j < nt:
-        if i < ns and j < nt:
-            cost = 0 if s[i] == t[j] else 1
+    while i < ms or j < mt:
+        if i < ms and j < mt:
+            cost = 0 if a[i] == b[j] else 1
             if dist[i][j] == dist[i + 1][j + 1] + cost:
-                ops.append(AlignOp("equal" if cost == 0 else "substitute", i, i + 1, j, j + 1))
+                kind = "equal" if cost == 0 else "substitute"
+                ops.append(AlignOp(kind, p + i, p + i + 1, p + j, p + j + 1))
                 i += 1
                 j += 1
                 continue
-        if i < ns and dist[i][j] == dist[i + 1][j] + 1:
-            ops.append(AlignOp("delete", i, i + 1, j, j))
+        if i < ms and dist[i][j] == dist[i + 1][j] + 1:
+            ops.append(AlignOp("delete", p + i, p + i + 1, p + j, p + j))
             i += 1
             continue
-        ops.append(AlignOp("insert", i, i, j, j + 1))
+        ops.append(AlignOp("insert", p + i, p + i, p + j, p + j + 1))
         j += 1
     return AlignmentOps(tuple(s), tuple(t), tuple(ops))
 

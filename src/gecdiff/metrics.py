@@ -2,8 +2,9 @@
 
 GLEU here is the single-reference correction variant: n-gram precision with
 a penalty for hypothesis n-grams retained from the source but absent from
-the reference.  M2 extracts system edits from an edit lattice over the
-Levenshtein alignment and picks the selection maximizing overlap with gold.
+the reference.  M2 walks the candidate edit windows of the Levenshtein
+alignment as integer spans and picks the selection maximizing overlap with
+gold; a window's replacement is sliced only when its span is a gold span.
 Both expose per-sentence sufficient statistics so paired bootstrap can
 recompute corpus scores cheaply per resample.
 """
@@ -15,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .edit_extract import Edit, check_edits, lattice_arcs, levenshtein_align
+from .edit_extract import Edit, check_edits, levenshtein_align
 from .text_norm import TokenSeq, is_reserved_token
 
 DEFAULT_BETA = 0.5
@@ -86,7 +87,7 @@ class GleuReport:
 
 
 def _ngrams(seq: TokenSeq, n: int) -> Counter:
-    return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+    return Counter(zip(*(seq[i:] for i in range(n))))
 
 
 def gleu_sentence_stats(
@@ -101,11 +102,15 @@ def gleu_sentence_stats(
     matches: list[int] = []
     totals: list[int] = []
     for n in range(1, order + 1):
-        hyp_n = _ngrams(hyp, n)
         ref_n = _ngrams(ref, n)
-        src_only = _ngrams(src, n) - ref_n
-        match = sum((hyp_n & ref_n).values())
-        penalty = sum((hyp_n & src_only).values())
+        src_n = _ngrams(src, n)
+        match = penalty = 0
+        for g, c in _ngrams(hyp, n).items():
+            r = ref_n.get(g, 0)
+            match += c if c < r else r
+            extra = src_n.get(g, 0) - r
+            if extra > 0:
+                penalty += c if c < extra else extra
         matches.append(max(match - penalty, 0))
         totals.append(max(len(hyp) + 1 - n, 0))
     return GleuStats(len(hyp), len(ref), tuple(matches), tuple(totals))
@@ -194,51 +199,79 @@ class GoldAnnotation:
                 raise ValueError(f"annotator {aid}: {exc}") from exc
 
 
-def _best_selection(
-    align, arcs, gold_edits: list[Edit]
-) -> tuple[int, int]:
-    """Maximize matched gold edits, then minimize selected arc count.
+def _windows(ops, max_unchanged: int) -> list:
+    """Candidate edit windows over the alignment, grouped by first op.
+
+    Entry ``lo`` is None for an equal op, else the list of windows
+    ``(hi, start, end, k, l, pure_insert, run_continues)`` over ops[lo:hi]:
+    the same windows, in the same order, as ``lattice_arcs``.  The ops tile
+    both sequences, so the window's source span is ``[ops[lo].i,
+    ops[hi-1].j)`` and its replacement is ``target[ops[lo].k:ops[hi-1].l]``;
+    nothing is copied here.  ``run_continues`` marks a pure insertion
+    followed by another insert op at the same position.
+    """
+    n = len(ops)
+    out: list = [None] * n
+    for lo, op in enumerate(ops):
+        if op.kind == "equal":
+            continue
+        start, k = op.i, op.k
+        wins = []
+        internal = 0
+        for hi in range(lo + 1, n + 1):
+            last = ops[hi - 1]
+            if last.kind == "equal":
+                internal += 1
+                if internal > max_unchanged:
+                    break
+                continue
+            end = last.j
+            pure = start == end
+            run = pure and hi < n and ops[hi].kind == "insert"
+            wins.append((hi, start, end, k, last.l, pure, run))
+        out[lo] = wins
+    return out
+
+
+def _best_selection(windows: list, target: tuple, gold_edits: list[Edit]) -> tuple[int, int]:
+    """Maximize matched gold edits, then minimize selected window count.
 
     Dynamic program over op positions.  The boolean flag guards the one
     degenerate double-count: a gold insertion at a position can be matched
-    by at most one of the pure-insert arcs within that insertion run.
+    by at most one of the pure-insert windows within that insertion run.
     """
-    ops = align.ops
-    n = len(ops)
-    gold_keys = {(e.start, e.end, e.replacement) for e in gold_edits}
-    arcs_from: dict[int, list] = {}
-    for arc in arcs:
-        arcs_from.setdefault(arc.lo, []).append(arc)
-    # best[p] = {flag: (tp, -arc count)}, maximized lexicographically
-    best: list[dict[bool, tuple[int, int]]] = [{} for _ in range(n + 1)]
-    best[n] = {False: (0, 0), True: (0, 0)}
+    gold: dict[tuple[int, int], set] = {}
+    for e in gold_edits:
+        gold.setdefault((e.start, e.end), set()).add(e.replacement)
+    n = len(windows)
+    # best_f[p] / best_t[p] = (tp, -window count) from op p with the flag
+    # off / on, maximized lexicographically; the first maximum wins.
+    best_f: list = [None] * (n + 1)
+    best_t: list = [None] * (n + 1)
+    best_f[n] = best_t[n] = (0, 0)
     for p in range(n - 1, -1, -1):
-        if ops[p].kind == "equal":
-            sub = best[p + 1][False]
-            best[p] = {False: sub, True: sub}
+        wins = windows[p]
+        if wins is None:
+            best_f[p] = best_t[p] = best_f[p + 1]
             continue
-        for flag in (False, True):
-            value = None
-            for arc in arcs_from[p]:
-                e = arc.edit
-                pure_insert = e.start == e.end
-                matched = (e.start, e.end, e.replacement) in gold_keys and not (
-                    pure_insert and flag
-                )
-                run_continues = (
-                    pure_insert
-                    and arc.hi < n
-                    and ops[arc.hi].kind == "insert"
-                    and ops[arc.hi].i == e.start
-                )
-                nflag = (flag or matched) if run_continues else False
-                sub_tp, neg = best[arc.hi][nflag]
-                cand = (sub_tp + (1 if matched else 0), neg - 1)
-                if value is None or cand > value:
-                    value = cand
-            best[p][flag] = value
-
-    tp, neg = best[0][False]
+        value_f = value_t = None
+        for hi, start, end, k, l, pure, run in wins:
+            reps = gold.get((start, end))
+            hit = reps is not None and target[k:l] in reps
+            # flag off: a hit matches; the flag turns on if the run goes on
+            sub_tp, neg = (best_t if run and hit else best_f)[hi]
+            cand = (sub_tp + 1 if hit else sub_tp, neg - 1)
+            if value_f is None or cand > value_f:
+                value_f = cand
+            # flag on: a pure insertion can no longer match
+            matched = hit and not pure
+            sub_tp, neg = (best_t if run else best_f)[hi]
+            cand = (sub_tp + 1 if matched else sub_tp, neg - 1)
+            if value_t is None or cand > value_t:
+                value_t = cand
+        best_f[p] = value_f
+        best_t[p] = value_t
+    tp, neg = best_f[0]
     return tp, -neg
 
 
@@ -253,16 +286,24 @@ def m2_maxmatch(
     The hypothesis must be plain (tags stripped).  With several annotators
     the one yielding the highest F_beta is charged; ties go to the smallest
     annotator id.
+
+    Cost: after the Levenshtein alignment of n ops, the candidate windows
+    are built once and shared by all annotators.  There are at most
+    n(n+1)/2 of them (every op a change), each O(1) integer work per
+    annotator, plus one replacement slice only where a window's source
+    span is a gold span.
     """
     for i, tok in enumerate(hyp):
         if is_reserved_token(tok):
             raise ValueError(f"reserved token in hypothesis at position {i}: {tok!r}")
+    if max_unchanged < 0:
+        raise ValueError("max_unchanged must be >= 0")
     align = levenshtein_align(gold.source, hyp)
-    arcs = lattice_arcs(align, max_unchanged)
+    windows = _windows(align.ops, max_unchanged)
     best: PRF | None = None
     for aid in sorted(gold.annotators):
         gold_edits = gold.annotators[aid]
-        tp, nedits = _best_selection(align, arcs, gold_edits)
+        tp, nedits = _best_selection(windows, align.target, gold_edits)
         prf = PRF.from_counts(tp, nedits - tp, len(gold_edits) - tp, beta)
         if best is None or prf.f_beta > best.f_beta:
             best = prf
@@ -285,6 +326,8 @@ def m2_corpus(
     """Corpus MaxMatch: per-sentence annotator choice, pooled raw counts."""
     if len(hyps) != len(golds):
         raise ValueError(f"aligned inputs required: {len(hyps)} hyps, {len(golds)} golds")
+    if not hyps:
+        raise ValueError("empty corpus")
     sentences = tuple(
         m2_maxmatch(h, g, max_unchanged, beta) for h, g in zip(hyps, golds)
     )

@@ -241,6 +241,21 @@ class TestDecodePipeline:
         assert main(["gleu", "--hyp", "hyp.tgt", "--src", "test.src", "--ref", "test.ref"]) == 0
         assert "GLEU 100.00" in capsys.readouterr().out
 
+    def test_m2_empty_corpus_exits_1(self, capsys):
+        write("hyp.txt", "")
+        write("gold.m2", "")
+        assert main(["m2", "--hyp", "hyp.txt", "--gold", "gold.m2"]) == 1
+        captured = capsys.readouterr()
+        assert "error: empty corpus" in captured.err
+        assert "P 100.00" not in captured.out
+
+    def test_m2_negative_max_unchanged_exits_1(self, capsys):
+        write("hyp.txt", TEST_REF)
+        write("gold.m2", TEST_GOLD)
+        code = main(["m2", "--hyp", "hyp.txt", "--gold", "gold.m2", "--max-unchanged", "-1"])
+        assert code == 1
+        assert "error: max_unchanged must be >= 0" in capsys.readouterr().err
+
     def test_decode_threads_match_serial(self):
         model = train_model()
         write("test.src", TEST_SRC)

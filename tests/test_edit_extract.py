@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gecdiff.diff_codec import encode_diffs
 from gecdiff.edit_extract import (
+    AlignOp,
+    AlignmentOps,
     Edit,
     apply_edits,
     check_edits,
@@ -214,3 +218,72 @@ class TestLatticeArcs:
         arc_edits = [a.edit for a in lattice_arcs(al, max_unchanged=2)]
         for e in extract_edits(al, max_unchanged=0):
             assert e in arc_edits
+
+
+# ---------------------------------------------------------------------------
+# levenshtein_align against the full-table version it replaced
+
+
+def oracle_levenshtein_align(s, t):
+    """The full-DP alignment, kept verbatim as the reference."""
+    ns, nt = len(s), len(t)
+    # dist[i][j] = edit distance between s[i:] and t[j:]
+    dist = [[0] * (nt + 1) for _ in range(ns + 1)]
+    for i in range(ns + 1):
+        dist[i][nt] = ns - i
+    for j in range(nt + 1):
+        dist[ns][j] = nt - j
+    for i in range(ns - 1, -1, -1):
+        row = dist[i]
+        below = dist[i + 1]
+        for j in range(nt - 1, -1, -1):
+            diag = below[j + 1] + (0 if s[i] == t[j] else 1)
+            row[j] = min(diag, below[j] + 1, row[j + 1] + 1)
+    ops: list[AlignOp] = []
+    i = j = 0
+    while i < ns or j < nt:
+        if i < ns and j < nt:
+            cost = 0 if s[i] == t[j] else 1
+            if dist[i][j] == dist[i + 1][j + 1] + cost:
+                ops.append(AlignOp("equal" if cost == 0 else "substitute", i, i + 1, j, j + 1))
+                i += 1
+                j += 1
+                continue
+        if i < ns and dist[i][j] == dist[i + 1][j] + 1:
+            ops.append(AlignOp("delete", i, i + 1, j, j))
+            i += 1
+            continue
+        ops.append(AlignOp("insert", i, i, j, j + 1))
+        j += 1
+    return AlignmentOps(tuple(s), tuple(t), tuple(ops))
+
+
+def test_levenshtein_align_matches_full_table_oracle():
+    # tie-heavy: two- and three-letter alphabets, repeats, shared prefixes
+    rng = random.Random(20170601)
+    cases = [([], []), ([], ["a"]), (["a"], []), (["a", "b"], ["a", "b"])]
+    for _ in range(3000):
+        alpha = ["a", "b", "c"][: rng.choice((2, 3))]
+        s = [rng.choice(alpha) for _ in range(rng.randrange(9))]
+        shape = rng.randrange(4)
+        if shape == 0:  # equal sequences
+            t = list(s)
+        elif shape == 1:  # a shared prefix, then anything
+            t = s[: rng.randrange(len(s) + 1)] + [rng.choice(alpha) for _ in range(rng.randrange(4))]
+        elif shape == 2:  # a shared suffix
+            t = [rng.choice(alpha) for _ in range(rng.randrange(4))] + s[rng.randrange(len(s) + 1) :]
+        else:
+            t = [rng.choice(alpha) for _ in range(rng.randrange(9))]
+        if rng.random() < 0.5:
+            s, t = t, s
+        cases.append((s, t))
+    for s, t in cases:
+        assert levenshtein_align(s, t) == oracle_levenshtein_align(s, t), (s, t)
+
+
+def test_levenshtein_align_keeps_the_leftmost_match_in_a_suffix_tie():
+    # A common-suffix trim would align the kept "b" to the last source token
+    # and delete the first one, which moves the M2 edit span to [0, 1).
+    al = levenshtein_align(["b", "b"], ["b"])
+    assert al.ops == (AlignOp("equal", 0, 1, 0, 1), AlignOp("delete", 1, 2, 1, 1))
+    assert extract_edits(al) == [Edit(1, 2, ("b",), ())]

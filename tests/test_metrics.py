@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gecdiff.edit_extract import Edit
+from gecdiff.edit_extract import Edit, apply_edits, lattice_arcs, levenshtein_align
 from gecdiff.metrics import (
     BootstrapReport,
+    GleuStats,
     GoldAnnotation,
     PRF,
     corpus_gleu_from_stats,
@@ -20,7 +23,7 @@ from gecdiff.metrics import (
     paired_bootstrap,
     sentence_gleu_from_stats,
 )
-from gecdiff.text_norm import DEL_OPEN
+from gecdiff.text_norm import DEL_OPEN, is_reserved_token
 
 
 class TestFBeta:
@@ -325,3 +328,183 @@ def test_prf_counts_bounds(tp, fp, fn):
     lo = min(prf.precision, prf.recall) - 1e-12
     hi = max(prf.precision, prf.recall) + 1e-12
     assert lo <= prf.f_beta <= hi or prf.f_beta == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the integer scorers against the versions they replaced, kept verbatim
+
+
+def oracle_best_selection(align, arcs, gold_edits):
+    """The lattice-based selection DP, verbatim."""
+    ops = align.ops
+    n = len(ops)
+    gold_keys = {(e.start, e.end, e.replacement) for e in gold_edits}
+    arcs_from: dict[int, list] = {}
+    for arc in arcs:
+        arcs_from.setdefault(arc.lo, []).append(arc)
+    # best[p] = {flag: (tp, -arc count)}, maximized lexicographically
+    best: list[dict[bool, tuple[int, int]]] = [{} for _ in range(n + 1)]
+    best[n] = {False: (0, 0), True: (0, 0)}
+    for p in range(n - 1, -1, -1):
+        if ops[p].kind == "equal":
+            sub = best[p + 1][False]
+            best[p] = {False: sub, True: sub}
+            continue
+        for flag in (False, True):
+            value = None
+            for arc in arcs_from[p]:
+                e = arc.edit
+                pure_insert = e.start == e.end
+                matched = (e.start, e.end, e.replacement) in gold_keys and not (
+                    pure_insert and flag
+                )
+                run_continues = (
+                    pure_insert
+                    and arc.hi < n
+                    and ops[arc.hi].kind == "insert"
+                    and ops[arc.hi].i == e.start
+                )
+                nflag = (flag or matched) if run_continues else False
+                sub_tp, neg = best[arc.hi][nflag]
+                cand = (sub_tp + (1 if matched else 0), neg - 1)
+                if value is None or cand > value:
+                    value = cand
+            best[p][flag] = value
+
+    tp, neg = best[0][False]
+    return tp, -neg
+
+
+def oracle_m2_maxmatch(hyp, gold, max_unchanged=2, beta=0.5):
+    """MaxMatch over the lattice of ``lattice_arcs``, verbatim."""
+    for i, tok in enumerate(hyp):
+        if is_reserved_token(tok):
+            raise ValueError(f"reserved token in hypothesis at position {i}: {tok!r}")
+    align = levenshtein_align(gold.source, hyp)
+    arcs = lattice_arcs(align, max_unchanged)
+    best = None
+    for aid in sorted(gold.annotators):
+        gold_edits = gold.annotators[aid]
+        tp, nedits = oracle_best_selection(align, arcs, gold_edits)
+        prf = PRF.from_counts(tp, nedits - tp, len(gold_edits) - tp, beta)
+        if best is None or prf.f_beta > best.f_beta:
+            best = prf
+    assert best is not None
+    return best
+
+
+def oracle_gleu_sentence_stats(hyp, src, ref, order=4):
+    """GLEU statistics by Counter arithmetic, verbatim."""
+
+    def ngrams(seq, n):
+        return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+
+    matches: list[int] = []
+    totals: list[int] = []
+    for n in range(1, order + 1):
+        hyp_n = ngrams(hyp, n)
+        ref_n = ngrams(ref, n)
+        src_only = ngrams(src, n) - ref_n
+        match = sum((hyp_n & ref_n).values())
+        penalty = sum((hyp_n & src_only).values())
+        matches.append(max(match - penalty, 0))
+        totals.append(max(len(hyp) + 1 - n, 0))
+    return GleuStats(len(hyp), len(ref), tuple(matches), tuple(totals))
+
+
+def _random_gold_edits(rng, source, vocab):
+    """Sorted, non-overlapping inserts, deletes and replacements over ``source``."""
+    edits: list[Edit] = []
+    pos = 0
+    while pos <= len(source):
+        if rng.random() < 0.4:
+            width = rng.choice((0, 0, 1, 1, 2, 3))
+            end = min(pos + width, len(source))
+            repl = tuple(rng.choice(vocab) for _ in range(rng.randrange(3)))
+            if end > pos or repl:
+                edits.append(Edit(pos, end, tuple(source[pos:end]), repl))
+                pos = end + 1  # leave a gap so no two insertions share a point
+                continue
+        pos += 1
+    return edits
+
+
+def _mutate(rng, source, vocab):
+    out: list[str] = []
+    for tok in source:
+        r = rng.random()
+        if r < 0.15:
+            continue  # delete
+        if r < 0.35:
+            out.append(rng.choice(vocab))  # replace
+        else:
+            out.append(tok)
+        while rng.random() < 0.15:
+            out.append(rng.choice(vocab))  # insert, sometimes a run
+    return out
+
+
+def test_m2_maxmatch_matches_lattice_oracle_on_random_cases():
+    rng = random.Random(2012)
+    vocab = ["a", "b", "c", "d"]
+    for case in range(3000):
+        source = [rng.choice(vocab) for _ in range(rng.randrange(9))]
+        golds = [_random_gold_edits(rng, source, vocab) for _ in range(rng.choice((1, 2)))]
+        shape = case % 10
+        if shape == 0:
+            hyp: list[str] = []
+        elif shape == 1:
+            hyp = list(source)
+        elif shape == 2:  # one annotator's correction, applied exactly
+            hyp = apply_edits(source, golds[0])
+        else:
+            hyp = _mutate(rng, source, vocab)
+        gold = ann(source, *golds)
+        max_unchanged = rng.randrange(4)
+        got = m2_maxmatch(hyp, gold, max_unchanged)
+        assert got == oracle_m2_maxmatch(hyp, gold, max_unchanged), (source, hyp, golds)
+
+
+def _long_rewrite(rng, length, keep):
+    # every token changed in target and hypothesis, as in the long tail of
+    # the benchmark's scoring workload
+    src = [f"w{rng.randrange(300):03d}" for _ in range(length)]
+    tgt = ["r" + w for w in src]
+    hyp = [t if rng.random() < keep else "x" + s for s, t in zip(src, tgt)]
+    return src, tgt, hyp
+
+
+def test_m2_maxmatch_matches_lattice_oracle_on_long_rewrites():
+    rng = random.Random(160)
+    for length in (80, 100, 120, 140, 160):
+        src, tgt, hyp = _long_rewrite(rng, length, keep=0.85)
+        whole = [Edit(0, length, tuple(src), tuple(tgt))]  # difflib's single replace
+        per_token = [Edit(i, i + 1, (s,), (t,)) for i, (s, t) in enumerate(zip(src, tgt))]
+        gold = ann(src, whole, per_token)
+        got = m2_maxmatch(hyp, gold)
+        assert got == oracle_m2_maxmatch(hyp, gold)
+        assert got.tp == sum(h == t for h, t in zip(hyp, tgt))
+
+
+def test_m2_maxmatch_rejects_negative_max_unchanged():
+    gold = ann(["a", "b"], [Edit(0, 1, ("a",), ("x",))])
+    with pytest.raises(ValueError, match="max_unchanged must be >= 0"):
+        m2_maxmatch(["x", "b"], gold, max_unchanged=-1)
+
+
+def test_m2_corpus_rejects_empty_corpus():
+    with pytest.raises(ValueError, match="empty corpus"):
+        m2_corpus([], [])
+
+
+def test_gleu_sentence_stats_matches_counter_oracle():
+    rng = random.Random(2015)
+    for _ in range(3000):
+        vocab = ["a", "b", "c"][: rng.choice((1, 2, 3))]
+        src = [rng.choice(vocab) for _ in range(rng.randrange(12))]
+        ref = [rng.choice(vocab) for _ in range(rng.randrange(12))]
+        hyp = rng.choice((src, ref, [rng.choice(vocab) for _ in range(rng.randrange(12))]))
+        order = rng.choice((1, 2, 4, 5))
+        assert gleu_sentence_stats(hyp, src, ref, order) == oracle_gleu_sentence_stats(
+            hyp, src, ref, order
+        ), (hyp, src, ref, order)
