@@ -129,12 +129,6 @@ class Hypothesis:
     terminated: bool
 
 
-def apply_bias(dist: dict[str, float], bias: BiasVector) -> dict[str, float]:
-    """Ranking map: probability plus the tag's offset; others unchanged."""
-    offsets = bias.as_map()
-    return {tok: p + offsets.get(tok, 0.0) for tok, p in dist.items()}
-
-
 def _check_dist(dist: dict[str, float]) -> None:
     for tok in TAG_TOKENS:
         if tok not in dist:
@@ -219,28 +213,53 @@ class _Beam(NamedTuple):
     tagps: tuple[tuple[float, float, float, float], ...]
 
 
-def _ranked_moves(
-    candidates: list[tuple[str, float]], offsets: dict[str, float] | None
+def _moves(
+    candidates: Iterable[tuple[str, float]], offsets: dict[str, float] | None
 ) -> list[tuple[float, str, float]]:
-    """``(log of ranking value, token, p)`` best first; ties break on the token."""
-    if offsets is not None:
-        ranked = [(p + offsets.get(t, 0.0), t, p) for t, p in candidates]
-    else:
-        ranked = [(p, t, p) for t, p in candidates]
-    ranked.sort(key=lambda x: (-x[0], x[1]))
-    return [(_safe_log(r), t, p) for r, t, p in ranked]
+    """``(-ranking value, token, p)`` per candidate ``(token, p)``.
+
+    The ranking value is ``p`` plus the token's offset; only the tag tokens
+    have one.  The natural order of these tuples is the move order, best
+    first: the highest raw ranking value, ties to the smaller token.  Ranking
+    on the raw value, not its log, matters: two distinct probabilities can
+    share a log.
+    """
+    if offsets is None:
+        return [(-p, t, p) for t, p in candidates]
+    return [(-(p + offsets.get(t, 0.0)), t, p) for t, p in candidates]
+
+
+def _ranked_moves(
+    candidates: Iterable[tuple[str, float]], offsets: dict[str, float] | None
+) -> list[tuple[float, str, float]]:
+    """``(log of ranking value, token, p)`` in move order."""
+    moves = _moves(candidates, offsets)
+    moves.sort()
+    return [(_safe_log(-r), t, p) for r, t, p in moves]
+
+
+def _tag_probs(dist: dict[str, float]) -> tuple[float, float, float, float]:
+    return (
+        dist.get(DEL_OPEN, 0.0),
+        dist.get(DEL_CLOSE, 0.0),
+        dist.get(INS_OPEN, 0.0),
+        dist.get(INS_CLOSE, 0.0),
+    )
 
 
 def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> list[Hypothesis]:
     """K-best beam search; every hypothesis is repaired before being returned.
 
-    Candidate ranking uses ``apply_bias`` when cfg.bias is set.  Ties break
-    on the token string per step and on the token tuple in the final order,
-    so decoding is fully deterministic for a deterministic scorer.
+    Candidates rank on their probability plus the tag offset of cfg.bias
+    (see ``_moves``).  Ties break on the token string per step and on the
+    token tuple in the final order, so decoding is fully deterministic for a
+    deterministic scorer.
 
     Each distinct scorer state is scored and checked once per call: its
     distribution, tag probabilities and ranked positive-probability moves
-    are kept in a dict that is dropped when the call returns.
+    are kept in a dict that is dropped when the call returns.  At beam 1
+    the search is a greedy walk (``_greedy_decode``) that keeps only each
+    state's best move; it returns exactly what the beam loop would.
     """
     if not source:
         raise ValueError("source must be nonempty")
@@ -252,6 +271,8 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
         )
     beam = cfg.beam
     offsets = cfg.bias.as_map() if cfg.bias is not None else None
+    if beam == 1:
+        return [_greedy_decode(scorer, source, max_len, constrained, offsets)]
 
     # state -> (dist, tag probabilities, ranked positive-probability moves)
     scored: dict = {}
@@ -266,20 +287,16 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
             if entry is None:
                 dist = scorer.dist(item.state)
                 _check_dist(dist)
-                tagp = (
-                    dist.get(DEL_OPEN, 0.0),
-                    dist.get(DEL_CLOSE, 0.0),
-                    dist.get(INS_OPEN, 0.0),
-                    dist.get(INS_CLOSE, 0.0),
-                )
                 positive = [(t, p) for t, p in dist.items() if p > 0.0]
-                entry = scored[item.state] = (dist, tagp, _ranked_moves(positive, offsets))
+                entry = scored[item.state] = (
+                    dist, _tag_probs(dist), _ranked_moves(positive, offsets)
+                )
             dist, tagp, moves = entry
             if constrained:
                 mask = item.auto.allowed(source, dist, budget)
                 moves = [m for m in moves if m[1] in mask]
                 if not moves:  # only zero-probability moves are legal
-                    moves = _ranked_moves([(t, dist.get(t, 0.0)) for t in sorted(mask)], offsets)
+                    moves = _ranked_moves([(t, dist.get(t, 0.0)) for t in mask], offsets)
             selection = item.selection
             for log_rank, tok, p in moves[:beam]:
                 pool.append((selection + log_rank, tok, item, p, tagp))
@@ -301,8 +318,10 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
                 live.append(_Beam(item.raw + (tok,), state, auto, sel, score, logps, tagps))
         if len(done) >= beam or not live:
             break
-    for item in live:  # ran out of budget without EOS
-        done.append(item)
+    # Unfinished items join the ranking: those out of budget, and also those
+    # still live when ``beam`` items had finished, which can then outrank a
+    # finished one.
+    done.extend(live)
     done.sort(key=lambda b: (-b.selection, b.raw))
     out = []
     for b in done[: cfg.beam]:
@@ -318,6 +337,71 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
             )
         )
     return out
+
+
+def _greedy_decode(
+    scorer: ScorerContract,
+    source: TokenSeq,
+    max_len: int,
+    constrained: bool,
+    offsets: dict[str, float] | None,
+) -> Hypothesis:
+    """``beam_decode`` at beam 1, as a greedy walk.
+
+    At beam 1 the beam loop keeps only the head of one item's ranked moves,
+    so it walks this same path.  Here each distinct state's best positive
+    move is the min over ``_moves``, found once per call without a sort, and
+    only the chosen move's log is taken.  Under ``constrained`` the walk
+    takes the best move the mask permits: a positive one if any, else the
+    best zero-probability one; it stops when the mask is empty.
+    """
+    # state -> (dist, tag probabilities, best positive-probability move)
+    scored: dict = {}
+    state = scorer.start(source)
+    auto = _Auto()
+    raw: list[str] = []
+    logps: list[float] = []
+    tagps: list[tuple[float, float, float, float]] = []
+    selection = score = 0.0
+    terminated = False
+    for step_no in range(max_len):
+        entry = scored.get(state)
+        if entry is None:
+            dist = scorer.dist(state)
+            _check_dist(dist)
+            best = min(_moves([(t, p) for t, p in dist.items() if p > 0.0], offsets))
+            entry = scored[state] = (dist, _tag_probs(dist), best)
+        dist, tagp, move = entry
+        if constrained:
+            mask = auto.allowed(source, dist, max_len - step_no)
+            if move[1] not in mask:
+                legal = [(t, dist.get(t, 0.0)) for t in mask]
+                if not legal:
+                    break
+                positive = [(t, p) for t, p in legal if p > 0.0]
+                move = min(_moves(positive or legal, offsets))
+        neg_rank, tok, p = move
+        selection += _safe_log(-neg_rank)
+        logp = _safe_log(p)
+        score += logp
+        logps.append(logp)
+        tagps.append(tagp)
+        if tok == EOS:
+            terminated = True
+            break
+        raw.append(tok)
+        if constrained:
+            auto = auto.advance(source, tok)
+        state = scorer.step(state, tok)
+    return Hypothesis(
+        tagged=tuple(repair(raw, source)),
+        raw=tuple(raw),
+        score=score,
+        token_logprobs=tuple(logps),
+        tag_probs=tuple(tagps),
+        selection_score=selection,
+        terminated=terminated,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +479,9 @@ def grid_search_tune(
     or caching; it is called once per grid point, in grid order.  By
     default each dev sentence is 1-best-decoded at every bias of a sweep,
     stripped, and MaxMatch-scored against gold, reusing that sentence's
-    scorer results and its M2 score per distinct stripped 1-best; counts
-    are pooled per bias in dev order.
+    scorer results; each distinct repaired 1-best is stripped once and each
+    distinct stripped one scored once.  Counts are pooled per bias in dev
+    order.
     """
     if not dev:
         raise ValueError("dev set must be nonempty")
@@ -409,14 +494,18 @@ def grid_search_tune(
         counts = [[0.0, 0.0, 0.0] for _ in biases]
         for src, gold in dev:
             memo = _MemoScorer(scorer)
-            scores: dict[tuple[str, ...], PRF] = {}
+            scores: dict[tuple[str, ...], PRF] = {}  # stripped 1-best -> M2
+            by_tagged: dict[tuple[str, ...], PRF] = {}  # repaired 1-best -> M2
             for bias_cfg, count in zip(cfgs, counts):
-                hyp = beam_decode(memo, src, bias_cfg)[0]
-                stripped = strip_to_target(list(hyp.tagged))
-                key = tuple(stripped)
-                prf = scores.get(key)
+                tagged = beam_decode(memo, src, bias_cfg)[0].tagged
+                prf = by_tagged.get(tagged)
                 if prf is None:
-                    prf = scores[key] = m2_maxmatch(stripped, gold, max_unchanged, beta)
+                    stripped = strip_to_target(list(tagged))
+                    key = tuple(stripped)
+                    prf = scores.get(key)
+                    if prf is None:
+                        prf = scores[key] = m2_maxmatch(stripped, gold, max_unchanged, beta)
+                    by_tagged[tagged] = prf
                 count[0] += prf.tp
                 count[1] += prf.fp
                 count[2] += prf.fn

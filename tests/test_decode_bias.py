@@ -18,8 +18,9 @@ from gecdiff.decode_bias import (
     _Auto,
     _check_dist,
     _grid_values,
+    _moves,
+    _ranked_moves,
     _safe_log,
-    apply_bias,
     beam_decode,
     grid_search_tune,
     read_kbest,
@@ -101,9 +102,19 @@ class TestBiasVector:
 
     def test_apply_bias_only_touches_tags(self):
         dist = {"x": 0.5, DEL_OPEN: 0.1, DEL_CLOSE: 0.0, INS_OPEN: 0.2, INS_CLOSE: 0.0, EOS: 0.2}
-        out = apply_bias(dist, BiasVector(0.4, 0.0, 0.0, 0.0))
-        assert out["x"] == 0.5 and out[EOS] == 0.2
-        assert out[DEL_OPEN] == pytest.approx(0.5)
+        offsets = BiasVector(0.4, 0.3, 0.2, 0.1).as_map()
+        ranks = {t: -r for r, t, _ in _moves(dist.items(), offsets)}
+        assert ranks["x"] == 0.5 and ranks[EOS] == 0.2
+        assert ranks[DEL_OPEN] == pytest.approx(0.5)
+        assert ranks[DEL_CLOSE] == pytest.approx(0.3)
+        assert ranks[INS_OPEN] == pytest.approx(0.4)
+        assert ranks[INS_CLOSE] == pytest.approx(0.1)
+        # ties go to the smaller token; the probability itself is kept
+        order = [(t, p) for _, t, p in _ranked_moves(dist.items(), offsets)]
+        assert order == [
+            (DEL_OPEN, 0.1), ("x", 0.5), (INS_OPEN, 0.2),
+            (DEL_CLOSE, 0.0), (EOS, 0.2), (INS_CLOSE, 0.0),
+        ]
 
 
 class TestBeamDecode:
@@ -493,7 +504,7 @@ def equivalence_cases():
         for constrained in (False, True):
             for bias_name, bias in biases.items():
                 # "tight": the shortest budget a constrained decode accepts
-                for beam, tight in ((1, False), (3, False), (10, False), (3, True)):
+                for beam, tight in ((1, False), (3, False), (10, False), (3, True), (1, True)):
                     yield pytest.param(
                         scs, sources, constrained, bias, beam, tight,
                         id=f"{name}-{'con' if constrained else 'free'}-{bias_name}-beam{beam}"
@@ -510,6 +521,57 @@ def test_matches_reference_decoder(scs, sources, constrained, bias, beam, tight)
             limit = len(src) + 1 if tight else None
             cfg = DecodeConfig(beam=beam, constrained=constrained, bias=bias, max_len=limit)
             assert beam_decode(sc, src, cfg) == oracle_beam_decode(sc, src, cfg)
+
+
+class TwoMoveScorer:
+    """Two best first moves whose probabilities differ but share a log, then the end."""
+
+    def start(self, source):
+        return 0
+
+    def step(self, state, token):
+        return state + 1
+
+    def dist(self, state):
+        d = dict.fromkeys(TAG_TOKENS, 0.0)
+        if state == 0:
+            d.update({"x": 0.3, "a": math.nextafter(0.3, 0.0), "b": 0.2, EOS: 0.2})
+        else:
+            d[EOS] = 1.0
+        return d
+
+
+class StuckScorer:
+    """Opens an insertion, then offers no word to fill it."""
+
+    def start(self, source):
+        return 0
+
+    def step(self, state, token):
+        return state + 1
+
+    def dist(self, state):
+        d = dict.fromkeys((*TAG_TOKENS, EOS), 0.0)
+        d[INS_OPEN if state == 0 else EOS] = 1.0
+        return d
+
+
+def test_constrained_decode_stops_when_nothing_is_legal():
+    for beam in (1, 3):
+        cfg = DecodeConfig(beam=beam, constrained=True)
+        got = beam_decode(StuckScorer(), ["u"], cfg)
+        assert got[0].raw == (INS_OPEN,) and not got[0].terminated
+        assert got == oracle_beam_decode(StuckScorer(), ["u"], cfg)
+
+
+def test_beam1_ranks_on_raw_value_not_its_log():
+    assert math.log(math.nextafter(0.3, 0.0)) == math.log(0.3)
+    for bias in (None, BiasVector.tied(0.5)):
+        cfg = DecodeConfig(beam=1, bias=bias)
+        got = beam_decode(TwoMoveScorer(), ["u"], cfg)
+        # a walk comparing logs would tie and take the smaller token "a"
+        assert got[0].raw == ("x",)
+        assert got == oracle_beam_decode(TwoMoveScorer(), ["u"], cfg)
 
 
 class CountingScorer:
@@ -546,14 +608,24 @@ class CountingScorer:
 
 
 class TestScoredOncePerDecode:
-    @pytest.mark.parametrize("constrained", [False, True])
-    def test_one_dist_call_per_distinct_state(self, constrained):
+    @pytest.mark.parametrize(
+        "constrained,beam",
+        [
+            pytest.param(False, 10, id="False"),
+            pytest.param(True, 10, id="True"),
+            pytest.param(False, 1, id="beam1-False"),
+            pytest.param(True, 1, id="beam1-True"),
+        ],
+    )
+    def test_one_dist_call_per_distinct_state(self, constrained, beam):
         ref, sources = synthetic_ref_scorer(5)
+        revisited = False
         for inner in (FuzzScorer(1), ref):
             for src in (SRC, *sources):
-                cfg = DecodeConfig(beam=10, constrained=constrained, bias=BiasVector.tied(0.3))
+                cfg = DecodeConfig(beam=beam, constrained=constrained, bias=BiasVector.tied(0.3))
                 oracle = CountingScorer(inner)
                 oracle_beam_decode(oracle, src, cfg)
+                revisited |= max(oracle.calls.values()) > 1
                 counting = CountingScorer(inner)
                 beam_decode(counting, src, cfg)
                 assert set(counting.calls) == set(oracle.calls)
@@ -561,18 +633,23 @@ class TestScoredOncePerDecode:
                 # a second decode scores afresh: nothing is kept between calls
                 beam_decode(counting, src, cfg)
                 assert set(counting.calls.values()) == {2}
+        if not constrained:
+            # some paths reach a state twice, at beam 1 in the reference
+            # scorer's repeated insertions
+            assert revisited
 
     def test_malformed_distribution_raises_when_first_seen(self):
         inner = FuzzScorer(2)
-        for constrained in (False, True):
-            cfg = DecodeConfig(beam=10, constrained=constrained)
-            probe = CountingScorer(inner)
-            beam_decode(probe, SRC, cfg)
-            bad = list(probe.calls)[1]  # a state first reached after the start
-            counting = CountingScorer(inner, bad_state=bad)
-            with pytest.raises(ValueError, match="sums to"):
-                beam_decode(counting, SRC, cfg)
-            assert counting.calls[bad] == 1
+        for beam in (1, 10):
+            for constrained in (False, True):
+                cfg = DecodeConfig(beam=beam, constrained=constrained)
+                probe = CountingScorer(inner)
+                beam_decode(probe, SRC, cfg)
+                bad = list(probe.calls)[1]  # a state first reached after the start
+                counting = CountingScorer(inner, bad_state=bad)
+                with pytest.raises(ValueError, match="sums to"):
+                    beam_decode(counting, SRC, cfg)
+                assert counting.calls[bad] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -741,4 +818,26 @@ class TestTuneReuse:
         assert set(calls) == want
         again = tuple(sources[0])
         assert all(n == (2 if key[0] == again else 1) for key, n in calls.items())
+        assert len(calls) < 11 * len(dev)  # the grid repeats 1-bests
+
+    def test_strip_once_per_distinct_repaired_best(self, monkeypatch):
+        ref, sources = synthetic_ref_scorer(3, edit_weight=0.003)
+        dev = tune_dev(ref, sources + sources[:1], seed=9)  # the first source comes again
+        cfg = DecodeConfig(beam=1)
+        calls = []
+
+        def counting_strip(tagged):
+            calls.append(tuple(tagged))
+            return strip_to_target(tagged)
+
+        monkeypatch.setattr(decode_bias, "strip_to_target", counting_strip)
+        assert grid_search_tune(ref, dev, cfg=cfg) == oracle_grid_search_tune(ref, dev, cfg=cfg)
+        want = []
+        for src, _ in dev:
+            bests = [
+                beam_decode(ref, src, replace(cfg, bias=BiasVector.tied(v)))[0].tagged
+                for v in _grid_values(0.1)
+            ]
+            want.extend(dict.fromkeys(bests))  # distinct, in grid order
+        assert calls == want
         assert len(calls) < 11 * len(dev)  # the grid repeats 1-bests
