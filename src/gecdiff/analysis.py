@@ -152,6 +152,17 @@ def kind_report(
     return micro_prf(decisions, beta=beta)
 
 
+def _format_table(header: tuple[str, ...], body: list[tuple[str, ...]]) -> str:
+    """Aligned text table: first column left-justified, the rest right-justified."""
+    rows = [header, *body]
+    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
+    lines = []
+    for r in rows:
+        cells = [r[0].ljust(widths[0])] + [r[c].rjust(widths[c]) for c in range(1, len(r))]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines)
+
+
 def format_bucket_report(report: BucketReport) -> str:
     """Aligned text table, one bucket per row."""
     header = ("Bucket", "Gold", "Unique", "P", "R", "F")
@@ -166,14 +177,7 @@ def format_bucket_report(report: BucketReport) -> str:
         )
         for b, row in report.rows.items()
     ]
-    widths = [max(len(r[c]) for r in [header, *body]) for c in range(len(header))]
-    lines = []
-    for r in [header, *body]:
-        cells = [r[0].ljust(widths[0])] + [
-            r[c].rjust(widths[c]) for c in range(1, len(header))
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+    return _format_table(header, body)
 
 
 def format_kind_report(kinds: dict[str, PRF]) -> str:
@@ -188,11 +192,4 @@ def format_kind_report(kinds: dict[str, PRF]) -> str:
         )
         for kind, prf in sorted(kinds.items())
     ]
-    widths = [max(len(r[c]) for r in [header, *body]) for c in range(len(header))]
-    lines = []
-    for r in [header, *body]:
-        cells = [r[0].ljust(widths[0])] + [
-            r[c].rjust(widths[c]) for c in range(1, len(header))
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+    return _format_table(header, body)

@@ -44,8 +44,23 @@ class FilterReport:
 
 
 def read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
+def not_utf8(path: str) -> ValueError:
+    """The error for a file that does not decode, naming its first bad line."""
+    # undecodable bytes come back as lone surrogates, which cannot be encoded
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return ValueError(f"{path}:{n}: not valid UTF-8")
+    return ValueError(f"{path}: not valid UTF-8")
 
 
 def load_parallel(

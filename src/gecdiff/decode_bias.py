@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Protocol
 
+from .corpus_io import not_utf8
 from .diff_codec import repair, strip_to_target
 from .metrics import PRF, DEFAULT_BETA, GoldAnnotation, m2_maxmatch
 from .text_norm import (
@@ -581,30 +583,43 @@ def write_kbest(records: Iterable[KBestRecord], path: str) -> None:
 
 
 def read_kbest(path: str) -> list[KBestRecord]:
+    """Read a dump written by ``write_kbest``; a malformed record raises ValueError.
+
+    ``id`` must be a JSON integer, ``eos`` a JSON boolean, each ``tag_probs``
+    entry four values, and every probability a number in [0, 1].
+    """
     records: list[KBestRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rec = KBestRecord(
-                    sid=int(obj["id"]),
-                    tokens=tuple(obj["tokens"]),
-                    probs=tuple(float(p) for p in obj["probs"]),
-                    tag_probs=tuple(tuple(float(x) for x in t) for t in obj["tag_probs"]),
-                    eos=bool(obj["eos"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad k-best record: {exc}") from exc
-            expect = len(rec.tokens) + (1 if rec.eos else 0)
-            if len(rec.probs) != expect or len(rec.tag_probs) != expect:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {expect} probability entries"
-                )
-            records.append(rec)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    records.append(_kbest_record(line, path, lineno))
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return records
+
+
+def _kbest_record(line: str, path: str, lineno: int) -> KBestRecord:
+    try:
+        obj = json.loads(line)
+        sid, eos = obj["id"], obj["eos"]
+        tokens = tuple(obj["tokens"])
+        probs = tuple(map(float, obj["probs"]))
+        tag_probs = tuple(tuple(map(float, t)) for t in obj["tag_probs"])
+        if type(sid) is not int:
+            raise ValueError(f"id must be an integer, got {sid!r}")
+        if type(eos) is not bool:
+            raise ValueError(f"eos must be true or false, got {eos!r}")
+        if any(len(t) != 4 for t in tag_probs):
+            raise ValueError("each tag_probs entry needs 4 values")
+        if not all(0.0 <= p <= 1.0 for p in chain(probs, *tag_probs)):
+            raise ValueError("probabilities must be numbers in [0, 1]")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:{lineno}: bad k-best record: {exc}") from exc
+    expect = len(tokens) + (1 if eos else 0)
+    if len(probs) != expect or len(tag_probs) != expect:
+        raise ValueError(f"{path}:{lineno}: expected {expect} probability entries")
+    return KBestRecord(sid, tokens, probs, tag_probs, eos)
 
 
 def rerank_kbest(records: list[KBestRecord], bias: BiasVector | None) -> list[KBestRecord]:

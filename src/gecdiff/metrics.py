@@ -15,6 +15,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .edit_extract import Edit, check_edits, levenshtein_align
 from .text_norm import TokenSeq, is_reserved_token
@@ -90,6 +91,11 @@ def _ngrams(seq: TokenSeq, n: int) -> Counter:
     return Counter(zip(*(seq[i:] for i in range(n))))
 
 
+def _same_tokens(a: TokenSeq, b: TokenSeq) -> bool:
+    """Token-wise equality; a list and a tuple of the same tokens are equal."""
+    return a == b if type(a) is type(b) else tuple(a) == tuple(b)
+
+
 def gleu_sentence_stats(
     hyp: TokenSeq, src: TokenSeq, ref: TokenSeq, order: int = GLEU_ORDER
 ) -> GleuStats:
@@ -97,23 +103,30 @@ def gleu_sentence_stats(
 
     For each n: clipped matches of hyp against ref, minus hyp overlap with
     the multiset difference src − ref, floored at 0.  The total is the hyp
-    n-gram count.
+    n-gram count.  Unchanged sides save counting: when hyp, src and ref are
+    equal every n-gram matches and none is penalized (O(n), no counting),
+    and when src equals ref or hyp, its counts are not built again.
     """
+    hyp_is_src = _same_tokens(hyp, src)
+    src_is_ref = _same_tokens(src, ref)
+    totals = tuple(max(len(hyp) + 1 - n, 0) for n in range(1, order + 1))
+    if hyp_is_src and src_is_ref:
+        return GleuStats(len(hyp), len(ref), totals, totals)
     matches: list[int] = []
-    totals: list[int] = []
     for n in range(1, order + 1):
+        hyp_n = _ngrams(hyp, n)
         ref_n = _ngrams(ref, n)
-        src_n = _ngrams(src, n)
+        # src == ref leaves src − ref empty, so every penalty term is 0
+        src_n = ref_n if src_is_ref else hyp_n if hyp_is_src else _ngrams(src, n)
         match = penalty = 0
-        for g, c in _ngrams(hyp, n).items():
+        for g, c in hyp_n.items():
             r = ref_n.get(g, 0)
             match += c if c < r else r
             extra = src_n.get(g, 0) - r
             if extra > 0:
                 penalty += c if c < extra else extra
         matches.append(max(match - penalty, 0))
-        totals.append(max(len(hyp) + 1 - n, 0))
-    return GleuStats(len(hyp), len(ref), tuple(matches), tuple(totals))
+    return GleuStats(len(hyp), len(ref), tuple(matches), totals)
 
 
 def _brevity_penalty(hyp_len: int, ref_len: int) -> float:
@@ -138,17 +151,26 @@ def sentence_gleu_from_stats(st: GleuStats) -> float:
     return _brevity_penalty(st.hyp_len, st.ref_len) * math.exp(log_sum / len(st.matches))
 
 
-def corpus_gleu_from_stats(stats: list[GleuStats]) -> float:
-    """Corpus score from summed statistics; zero-total orders are skipped."""
-    hyp_len = sum(s.hyp_len for s in stats)
-    ref_len = sum(s.ref_len for s in stats)
+def _gleu_columns(stats: list[GleuStats]) -> tuple[int, list[list[int]]]:
+    """The order and the columns hyp_len, ref_len, matches[0..order), totals[0..order)."""
+    orders = {len(s.matches) for s in stats} | {len(s.totals) for s in stats}
+    if len(orders) > 1:
+        raise ValueError(f"mixed GLEU orders: {sorted(orders)}")
+    order = orders.pop() if orders else 0
+    columns = [[s.hyp_len for s in stats], [s.ref_len for s in stats]]
+    columns += [[s.matches[k] for s in stats] for k in range(order)]
+    columns += [[s.totals[k] for s in stats] for k in range(order)]
+    return order, columns
+
+
+def _gleu_from_sums(order: int, sums: list) -> float:
+    """Corpus score from ``_gleu_columns`` sums; zero-total orders are skipped."""
+    hyp_len, ref_len = sums[0], sums[1]
     if hyp_len == 0:
         return 1.0 if ref_len == 0 else 0.0
-    order = max((len(s.matches) for s in stats), default=0)
     logs: list[float] = []
-    for n in range(order):
-        match = sum(s.matches[n] for s in stats)
-        total = sum(s.totals[n] for s in stats)
+    for k in range(2, 2 + order):
+        match, total = sums[k], sums[k + order]
         if total == 0:
             continue
         if match == 0:
@@ -157,6 +179,12 @@ def corpus_gleu_from_stats(stats: list[GleuStats]) -> float:
     if not logs:
         return 0.0
     return _brevity_penalty(hyp_len, ref_len) * math.exp(sum(logs) / len(logs))
+
+
+def corpus_gleu_from_stats(stats: list[GleuStats]) -> float:
+    """Corpus score from summed statistics; zero-total orders are skipped."""
+    order, columns = _gleu_columns(stats)
+    return _gleu_from_sums(order, [sum(col) for col in columns])
 
 
 def gleu(
@@ -287,23 +315,29 @@ def m2_maxmatch(
     the one yielding the highest F_beta is charged; ties go to the smallest
     annotator id.
 
-    Cost: after the Levenshtein alignment of n ops, the candidate windows
-    are built once and shared by all annotators.  There are at most
-    n(n+1)/2 of them (every op a change), each O(1) integer work per
-    annotator, plus one replacement slice only where a window's source
-    span is a gold span.
+    Cost: a hypothesis equal to the source has no windows, so it selects
+    nothing and costs O(n).  Otherwise, after the Levenshtein alignment of
+    n ops, the candidate windows are built once and shared by all
+    annotators.  There are at most n(n+1)/2 of them (every op a change),
+    each O(1) integer work per annotator, plus one replacement slice only
+    where a window's source span is a gold span.
     """
     for i, tok in enumerate(hyp):
         if is_reserved_token(tok):
             raise ValueError(f"reserved token in hypothesis at position {i}: {tok!r}")
     if max_unchanged < 0:
         raise ValueError("max_unchanged must be >= 0")
-    align = levenshtein_align(gold.source, hyp)
-    windows = _windows(align.ops, max_unchanged)
+    unchanged = _same_tokens(hyp, gold.source)
+    if not unchanged:
+        align = levenshtein_align(gold.source, hyp)
+        windows = _windows(align.ops, max_unchanged)
     best: PRF | None = None
     for aid in sorted(gold.annotators):
         gold_edits = gold.annotators[aid]
-        tp, nedits = _best_selection(windows, align.target, gold_edits)
+        if unchanged:
+            tp = nedits = 0
+        else:
+            tp, nedits = _best_selection(windows, align.target, gold_edits)
         prf = PRF.from_counts(tp, nedits - tp, len(gold_edits) - tp, beta)
         if best is None or prf.f_beta > best.f_beta:
             best = prf
@@ -357,14 +391,14 @@ class BootstrapReport:
     better: str | None
 
 
-def _corpus_metric(metric: str, stats: list, beta: float) -> float:
+def _metric_columns(metric: str, stats: list, beta: float) -> tuple[list[list], Callable]:
+    """Per-sentence statistics as columns, and the corpus score of their sums."""
     if metric == "gleu":
-        return corpus_gleu_from_stats(stats)
+        order, columns = _gleu_columns(stats)
+        return columns, lambda sums: _gleu_from_sums(order, sums)
     if metric == "m2":
-        tp = sum(s.tp for s in stats)
-        fp = sum(s.fp for s in stats)
-        fn = sum(s.fn for s in stats)
-        return PRF.from_counts(tp, fp, fn, beta).f_beta
+        columns = [[s.tp for s in stats], [s.fp for s in stats], [s.fn for s in stats]]
+        return columns, lambda sums: PRF.from_counts(*sums, beta).f_beta
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -381,8 +415,11 @@ def paired_bootstrap(
 
     Per resample both systems are rescored from per-sentence sufficient
     statistics (GleuStats for ``gleu``, PRF counts for ``m2``) on the same
-    index sample.  System A is reported significantly better when its win
-    fraction (ties counted half) reaches 1 − level, B when it falls to level.
+    index sample.  The statistics are turned into columns once; a resample
+    sums each column over the sample in index order, the order in which
+    the corpus scores add them, so float counts give the same sums too.
+    System A is reported significantly better when its win fraction (ties
+    counted half) reaches 1 − level, B when it falls to level.
     """
     if len(stats_a) != len(stats_b):
         raise ValueError(f"mismatched lengths: {len(stats_a)} vs {len(stats_b)}")
@@ -390,13 +427,15 @@ def paired_bootstrap(
         raise ValueError("empty corpus")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
+    columns_a, score_a = _metric_columns(metric, stats_a, beta)
+    columns_b, score_b = _metric_columns(metric, stats_b, beta)
     n = len(stats_a)
     rng = random.Random(seed)
     wins_a = wins_b = ties = 0
     for _ in range(resamples):
         idx = [rng.randrange(n) for _ in range(n)]
-        a = _corpus_metric(metric, [stats_a[i] for i in idx], beta)
-        b = _corpus_metric(metric, [stats_b[i] for i in idx], beta)
+        a = score_a([sum(map(col.__getitem__, idx)) for col in columns_a])
+        b = score_b([sum(map(col.__getitem__, idx)) for col in columns_b])
         if a > b:
             wins_a += 1
         elif b > a:
@@ -414,8 +453,8 @@ def paired_bootstrap(
         resamples=resamples,
         level=level,
         seed=seed,
-        score_a=_corpus_metric(metric, stats_a, beta),
-        score_b=_corpus_metric(metric, stats_b, beta),
+        score_a=score_a([sum(col) for col in columns_a]),
+        score_b=score_b([sum(col) for col in columns_b]),
         wins_a=wins_a,
         wins_b=wins_b,
         ties=ties,

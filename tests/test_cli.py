@@ -335,6 +335,25 @@ class TestDecodePipeline:
         assert "missing [1]" in err[0] and "unexpected [2]" in err[0]
         assert not Path("o.tag").exists()
 
+    def test_rerank_src_rejects_malformed_record(self, capsys):
+        lines = self.kbest_for("teh mouse sat\nsee teh bird\n")
+        rec = json.loads(lines[1])
+        rec["eos"] = "false"
+        lines[1] = json.dumps(rec)
+        write("bad.jsonl", "\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["rerank", "--kbest", "bad.jsonl", "--src", "test.src", "--out", "o.tag"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad.jsonl:2: bad k-best record: eos must be true or false")
+        assert not Path("o.tag").exists()
+
+    def test_m2_bad_utf8_gold_exits_1(self, capsys):
+        write("hyp.txt", TEST_REF)
+        Path("gold.m2").write_bytes(TEST_GOLD.encode().replace(b"dog", b"d\xffg"))
+        assert main(["m2", "--hyp", "hyp.txt", "--gold", "gold.m2"]) == 1
+        assert capsys.readouterr().err == "error: gold.m2:4: not valid UTF-8\n"
+
     def test_decode_rejects_model_missing_key(self, capsys):
         model = train_model()
         obj = json.loads(Path(model).read_text())

@@ -274,6 +274,17 @@ class TestM2Gold:
             Edit(1, 2, ("b",), ()),
         ]
 
+    def test_bad_utf8_names_file_and_line(self, tmp_path):
+        # lines are counted as text mode splits them: "\r\n" is one break
+        path = tmp_path / "gold.m2"
+        path.write_bytes(
+            b"S a\r\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\r\n\r\nS b \xff c\r\n"
+        )
+        with pytest.raises(ValueError, match=r"gold\.m2:4: not valid UTF-8$"):
+            load_m2_gold(str(path))
+        with pytest.raises(ValueError, match=r"gold\.m2:4: not valid UTF-8$"):
+            read_token_lines(str(path))
+
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "gold.m2"
         path.write_text("S a\nA 0 1|||UNK|||x|||REQUIRED|||-NONE-\n")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -316,6 +318,46 @@ class TestKBest:
         with pytest.raises(ValueError) as err:
             read_kbest(str(path))
         assert "1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            pytest.param(("eos",), "false", id="eos-string"),
+            pytest.param(("eos",), 0, id="eos-int"),
+            pytest.param(("id",), 1.9, id="id-float"),
+            pytest.param(("id",), True, id="id-bool"),
+            pytest.param(("id",), "0", id="id-string"),
+            pytest.param(("tag_probs", -1), [0.0, 0.0, 0.0], id="tag-probs-3-values"),
+            pytest.param(("probs", 0), "nan", id="prob-nan-string"),
+            pytest.param(("probs", 0), float("nan"), id="prob-nan"),
+            pytest.param(("probs", 0), -0.25, id="prob-negative"),
+            pytest.param(("probs", 0), 1.5, id="prob-above-one"),
+            pytest.param(("tag_probs", 0, 2), float("inf"), id="tag-prob-inf"),
+        ],
+    )
+    def test_read_rejects_bad_field(self, tmp_path, where, value):
+        # the old reader took "false" as True, truncated 1.9 and parsed "nan"
+        path = tmp_path / "kb.jsonl"
+        write_kbest(self.make_records(), str(path))
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad k-best record: "):
+            read_kbest(str(path))
+
+    def test_read_names_line_of_bad_utf8(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        write_kbest(self.make_records(), str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"id"', b'"i\xffd"')
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: not valid UTF-8$"):
+            read_kbest(str(path))
 
     def test_selection_score_recomputed(self):
         rec = KBestRecord(0, ("a", DEL_OPEN), (0.5, 0.25, 0.9), ((0.0,) * 4, (0.25, 0.0, 0.0, 0.0), (0.0,) * 4), True)

@@ -508,3 +508,165 @@ def test_gleu_sentence_stats_matches_counter_oracle():
         assert gleu_sentence_stats(hyp, src, ref, order) == oracle_gleu_sentence_stats(
             hyp, src, ref, order
         ), (hyp, src, ref, order)
+
+
+def test_gleu_sentence_stats_matches_counter_oracle_on_unchanged_sides():
+    # hyp == src, src == ref and all three equal take the counting shortcuts;
+    # a list and a tuple of the same tokens count as equal
+    rng = random.Random(2016)
+    for case in range(2000):
+        vocab = ["a", "b", "c"][: rng.choice((1, 2, 3))]
+        src = [rng.choice(vocab) for _ in range(rng.randrange(12))]
+        other = [rng.choice(vocab) for _ in range(rng.randrange(12))]
+        shape = case % 4
+        if shape == 0:
+            hyp, ref = list(src), other
+        elif shape == 1:
+            hyp, ref = other, list(src)
+        elif shape == 2:
+            hyp, ref = list(src), list(src)
+        else:
+            hyp, ref = tuple(src), tuple(src) if rng.random() < 0.5 else other
+        order = rng.choice((1, 2, 4, 5))
+        assert gleu_sentence_stats(hyp, src, ref, order) == oracle_gleu_sentence_stats(
+            list(hyp), src, list(ref), order
+        ), (hyp, src, ref, order)
+
+
+def test_m2_maxmatch_matches_lattice_oracle_on_unchanged_hypotheses():
+    # several annotators, some of them with no edits; the counts stay ints
+    rng = random.Random(2013)
+    vocab = ["a", "b", "c", "d"]
+    for case in range(1000):
+        source = [rng.choice(vocab) for _ in range(rng.randrange(9))]
+        golds = [_random_gold_edits(rng, source, vocab) for _ in range(rng.randrange(1, 4))]
+        golds.insert(rng.randrange(len(golds) + 1), [])
+        gold = ann(source, *golds)
+        hyp = tuple(source) if case % 2 else list(source)
+        max_unchanged = rng.randrange(4)
+        got = m2_maxmatch(hyp, gold, max_unchanged)
+        assert got == oracle_m2_maxmatch(list(hyp), gold, max_unchanged), (source, golds)
+        assert (type(got.tp), type(got.fp), type(got.fn)) == (int, int, int)
+    only_edits = ann(["a", "b"], [Edit(0, 1, ("a",), ("x",))], [Edit(1, 2, ("b",), ())])
+    assert m2_maxmatch(["a", "b"], only_edits) == oracle_m2_maxmatch(["a", "b"], only_edits)
+
+
+def oracle_corpus_gleu_from_stats(stats):
+    """Corpus GLEU summing GleuStats fields per order, as before columns."""
+    hyp_len = sum(s.hyp_len for s in stats)
+    ref_len = sum(s.ref_len for s in stats)
+    if hyp_len == 0:
+        return 1.0 if ref_len == 0 else 0.0
+    order = max((len(s.matches) for s in stats), default=0)
+    logs: list[float] = []
+    for n in range(order):
+        match = sum(s.matches[n] for s in stats)
+        total = sum(s.totals[n] for s in stats)
+        if total == 0:
+            continue
+        if match == 0:
+            return 0.0
+        logs.append(math.log(match / total))
+    if not logs:
+        return 0.0
+    b = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return b * math.exp(sum(logs) / len(logs))
+
+
+def oracle_paired_bootstrap(
+    stats_a, stats_b, metric="gleu", resamples=50, level=0.05, seed=13, beta=0.5
+):
+    """Paired bootstrap that rescores a list of resampled statistics, as before columns."""
+
+    def corpus_metric(stats):
+        if metric == "gleu":
+            return oracle_corpus_gleu_from_stats(stats)
+        tp = sum(s.tp for s in stats)
+        fp = sum(s.fp for s in stats)
+        fn = sum(s.fn for s in stats)
+        return PRF.from_counts(tp, fp, fn, beta).f_beta
+
+    n = len(stats_a)
+    rng = random.Random(seed)
+    wins_a = wins_b = ties = 0
+    for _ in range(resamples):
+        idx = [rng.randrange(n) for _ in range(n)]
+        a = corpus_metric([stats_a[i] for i in idx])
+        b = corpus_metric([stats_b[i] for i in idx])
+        if a > b:
+            wins_a += 1
+        elif b > a:
+            wins_b += 1
+        else:
+            ties += 1
+    frac = (wins_a + 0.5 * ties) / resamples
+    better = None
+    if frac >= 1.0 - level:
+        better = "A"
+    elif frac <= level:
+        better = "B"
+    return BootstrapReport(
+        metric, resamples, level, seed, corpus_metric(stats_a), corpus_metric(stats_b),
+        wins_a, wins_b, ties, frac, better is not None, better,
+    )
+
+
+def _random_gleu_stats(rng, order, floats):
+    hyp_len = rng.choice((0, 0, 1, 2, rng.randrange(30)))
+    totals = tuple(max(hyp_len + 1 - n, 0) for n in range(1, order + 1))
+    matches = tuple(rng.randrange(t + 1) for t in totals)
+    if floats:  # fractional counts, as from weighted or averaged statistics
+        totals = tuple(t * rng.choice((1.0, 0.3, 1.7)) for t in totals)
+        matches = tuple(m * rng.random() for m in matches)
+    return GleuStats(hyp_len, rng.randrange(30), matches, totals)
+
+
+def _random_prf(rng, floats):
+    scale = rng.random() * 3 if floats else 1
+    return PRF.from_counts(*(rng.randrange(4) * scale for _ in range(3)))
+
+
+def test_paired_bootstrap_matches_list_oracle():
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.choice((1, 2, 7, 40))
+        floats = seed % 3 == 2
+        order = rng.choice((1, 2, 4))
+        gleu_a = [_random_gleu_stats(rng, order, floats) for _ in range(n)]
+        gleu_b = [_random_gleu_stats(rng, order, floats) for _ in range(n)]
+        m2_a = [_random_prf(rng, floats) for _ in range(n)]
+        m2_b = [_random_prf(rng, floats) for _ in range(n)]
+        cases = (("gleu", gleu_a, gleu_b), ("gleu", gleu_a, gleu_a), ("m2", m2_a, m2_b))
+        for metric, sa, sb in cases:
+            for boot_seed in (13, seed):
+                kwargs = dict(metric=metric, resamples=20, seed=boot_seed)
+                got = paired_bootstrap(sa, sb, **kwargs)
+                assert got == oracle_paired_bootstrap(sa, sb, **kwargs), (seed, metric)
+                assert repr(got) == repr(oracle_paired_bootstrap(sa, sb, **kwargs))
+
+
+def test_paired_bootstrap_matches_list_oracle_on_degenerate_corpora():
+    empty = GleuStats(0, 0, (0, 0, 0, 0), (0, 0, 0, 0))
+    short = GleuStats(1, 3, (1, 0, 0, 0), (1, 0, 0, 0))  # orders 2..4 have no total
+    missed = GleuStats(0, 2, (0, 0, 0, 0), (0, 0, 0, 0))
+    for sa, sb in (
+        ([empty] * 3, [missed] * 3),
+        ([short, empty], [empty, short]),
+        ([short, missed, empty], [missed, missed, short]),
+    ):
+        for seed in (1, 2, 3):
+            got = paired_bootstrap(sa, sb, resamples=30, seed=seed)
+            assert got == oracle_paired_bootstrap(sa, sb, resamples=30, seed=seed)
+        assert corpus_gleu_from_stats(sa) == oracle_corpus_gleu_from_stats(sa)
+
+
+def test_mixed_gleu_orders_raise_value_error():
+    two = gleu_sentence_stats(["a", "b"], ["a", "b"], ["a", "b"], order=2)
+    four = gleu_sentence_stats(["a", "b"], ["a", "b"], ["a", "b"], order=4)
+    with pytest.raises(ValueError, match="mixed GLEU orders"):
+        corpus_gleu_from_stats([two, four])
+    with pytest.raises(ValueError, match="mixed GLEU orders"):
+        paired_bootstrap([four, four], [two, four])
+    # each system may use its own order
+    report = paired_bootstrap([two, two], [four, four])
+    assert report.score_a == report.score_b == 1.0
