@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .edit_extract import Edit, edits_from_tagged
 from .diff_codec import encode_diffs, parse_spans
 from .metrics import GoldAnnotation
-from .text_norm import TokenSeq, is_reserved_token, tokenize
+from .text_norm import TokenSeq, find_reserved, is_reserved_token, tokenize
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class SentencePair:
 
     def check(self) -> None:
         for side, toks in (("source", self.source), ("target", self.target)):
-            for i, tok in enumerate(toks):
-                if is_reserved_token(tok):
-                    raise ValueError(f"reserved token in {side} at {i}: {tok!r}")
+            i = find_reserved(toks)
+            if i >= 0:
+                raise ValueError(f"reserved token in {side} at {i}: {toks[i]!r}")
 
 
 @dataclass(frozen=True)

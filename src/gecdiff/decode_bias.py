@@ -585,8 +585,9 @@ def write_kbest(records: Iterable[KBestRecord], path: str) -> None:
 def read_kbest(path: str) -> list[KBestRecord]:
     """Read a dump written by ``write_kbest``; a malformed record raises ValueError.
 
-    ``id`` must be a JSON integer, ``eos`` a JSON boolean, each ``tag_probs``
-    entry four values, and every probability a number in [0, 1].
+    ``id`` must be a JSON integer, ``eos`` a JSON boolean, ``tokens`` a list
+    of strings, each ``tag_probs`` entry four values, and every probability a
+    number in [0, 1].
     """
     records: list[KBestRecord] = []
     try:
@@ -602,14 +603,15 @@ def read_kbest(path: str) -> list[KBestRecord]:
 def _kbest_record(line: str, path: str, lineno: int) -> KBestRecord:
     try:
         obj = json.loads(line)
-        sid, eos = obj["id"], obj["eos"]
-        tokens = tuple(obj["tokens"])
+        sid, eos, tokens = obj["id"], obj["eos"], obj["tokens"]
         probs = tuple(map(float, obj["probs"]))
         tag_probs = tuple(tuple(map(float, t)) for t in obj["tag_probs"])
         if type(sid) is not int:
             raise ValueError(f"id must be an integer, got {sid!r}")
         if type(eos) is not bool:
             raise ValueError(f"eos must be true or false, got {eos!r}")
+        if type(tokens) is not list or not all(type(t) is str for t in tokens):
+            raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
         if any(len(t) != 4 for t in tag_probs):
             raise ValueError("each tag_probs entry needs 4 values")
         if not all(0.0 <= p <= 1.0 for p in chain(probs, *tag_probs)):
@@ -619,7 +621,7 @@ def _kbest_record(line: str, path: str, lineno: int) -> KBestRecord:
     expect = len(tokens) + (1 if eos else 0)
     if len(probs) != expect or len(tag_probs) != expect:
         raise ValueError(f"{path}:{lineno}: expected {expect} probability entries")
-    return KBestRecord(sid, tokens, probs, tag_probs, eos)
+    return KBestRecord(sid, tuple(tokens), probs, tag_probs, eos)
 
 
 def rerank_kbest(records: list[KBestRecord], bias: BiasVector | None) -> list[KBestRecord]:

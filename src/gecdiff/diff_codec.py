@@ -25,9 +25,11 @@ from .text_norm import (
     TokenSeq,
     domain_name,
     domain_token,
+    find_reserved,
     is_domain_token,
     is_reserved_token,
     is_tag_token,
+    same_tokens,
 )
 
 # Delimiter between top-level tokens in the character view (open box, U+2423).
@@ -50,9 +52,11 @@ def encode_diffs(source: TokenSeq, target: TokenSeq) -> TokenSeq:
     reserved tokens.
     """
     for name, seq in (("source", source), ("target", target)):
-        for i, tok in enumerate(seq):
-            if is_reserved_token(tok):
-                raise ValueError(f"reserved token in {name} at position {i}: {tok!r}")
+        i = find_reserved(seq)
+        if i >= 0:
+            raise ValueError(f"reserved token in {name} at position {i}: {seq[i]!r}")
+    if same_tokens(source, target):
+        return list(source)  # what the one "equal" opcode below would give
     matcher = difflib.SequenceMatcher(a=source, b=target, autojunk=False)
     out: TokenSeq = []
     for op, i1, i2, j1, j2 in matcher.get_opcodes():
@@ -81,6 +85,8 @@ def parse_spans(tagged: TokenSeq) -> list[tuple[str, TokenSeq]]:
     ``MalformedTagsError`` on nesting, stray closers, an unclosed span, or a
     domain token after position 0.
     """
+    if find_reserved(tagged) < 0:  # untagged: one plain segment
+        return [("plain", list(tagged))] if tagged else []
     segments: list[tuple[str, TokenSeq]] = []
     mode = "plain"
     span: TokenSeq = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .edit_extract import Edit, check_edits, levenshtein_align
-from .text_norm import TokenSeq, is_reserved_token
+from .text_norm import TokenSeq, find_reserved, same_tokens
 
 DEFAULT_BETA = 0.5
 GLEU_ORDER = 4
@@ -91,11 +91,6 @@ def _ngrams(seq: TokenSeq, n: int) -> Counter:
     return Counter(zip(*(seq[i:] for i in range(n))))
 
 
-def _same_tokens(a: TokenSeq, b: TokenSeq) -> bool:
-    """Token-wise equality; a list and a tuple of the same tokens are equal."""
-    return a == b if type(a) is type(b) else tuple(a) == tuple(b)
-
-
 def gleu_sentence_stats(
     hyp: TokenSeq, src: TokenSeq, ref: TokenSeq, order: int = GLEU_ORDER
 ) -> GleuStats:
@@ -107,8 +102,8 @@ def gleu_sentence_stats(
     equal every n-gram matches and none is penalized (O(n), no counting),
     and when src equals ref or hyp, its counts are not built again.
     """
-    hyp_is_src = _same_tokens(hyp, src)
-    src_is_ref = _same_tokens(src, ref)
+    hyp_is_src = same_tokens(hyp, src)
+    src_is_ref = same_tokens(src, ref)
     totals = tuple(max(len(hyp) + 1 - n, 0) for n in range(1, order + 1))
     if hyp_is_src and src_is_ref:
         return GleuStats(len(hyp), len(ref), totals, totals)
@@ -322,12 +317,12 @@ def m2_maxmatch(
     each O(1) integer work per annotator, plus one replacement slice only
     where a window's source span is a gold span.
     """
-    for i, tok in enumerate(hyp):
-        if is_reserved_token(tok):
-            raise ValueError(f"reserved token in hypothesis at position {i}: {tok!r}")
+    i = find_reserved(hyp)
+    if i >= 0:
+        raise ValueError(f"reserved token in hypothesis at position {i}: {hyp[i]!r}")
     if max_unchanged < 0:
         raise ValueError("max_unchanged must be >= 0")
-    unchanged = _same_tokens(hyp, gold.source)
+    unchanged = same_tokens(hyp, gold.source)
     if not unchanged:
         align = levenshtein_align(gold.source, hyp)
         windows = _windows(align.ops, max_unchanged)

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .corpus_io import not_utf8
 from .decode_bias import EOS
 from .diff_codec import encode_diffs
 from .edit_extract import edits_from_tagged
@@ -183,16 +184,22 @@ def train_lm(
 ) -> NGramLM:
     if not targets:
         raise ValueError("empty corpus")
-    counts: dict[tuple[str, ...], Counter] = {}
+    # Count each order's n-grams with Counter.update, then group them by
+    # context.  An n-gram ends at a token or EOS, its context padded with BOS.
+    pad = (BOS,) * (order - 1)
+    grams = [Counter() for _ in range(order)]
     for sent in targets:
-        toks = list(sent) + [EOS]
-        history = [BOS] * (order - 1)
-        for tok in toks:
-            for k in range(order):
-                ctx = tuple(history[len(history) - k :])
-                counts.setdefault(ctx, Counter())[tok] += 1
-            history.append(tok)
-            history = history[-(order - 1) :] if order > 1 else []
+        toks = (*pad, *sent, EOS)
+        for k, ngrams in enumerate(grams):
+            ngrams.update(zip(*[toks[order - 1 - k + j :] for j in range(k + 1)]))
+    counts: dict[tuple[str, ...], Counter] = {}
+    for ngrams in grams:
+        for gram, c in ngrams.items():
+            ctx = gram[:-1]
+            words = counts.get(ctx)
+            if words is None:
+                words = counts[ctx] = Counter()
+            words[gram[-1]] = c
     return NGramLM(order, counts, interp, unk_mass)
 
 
@@ -423,8 +430,7 @@ def save_model(path: str, lexicon: ConfusionLexicon, lm: NGramLM) -> None:
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(json.dumps(obj, ensure_ascii=False) + "\n")  # C encoder, same bytes
     os.replace(tmp, path)
 
 
@@ -469,8 +475,15 @@ def _check_schema(obj, path: str) -> None:
 
 
 def load_model(path: str) -> tuple[ConfusionLexicon, NGramLM]:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}:{exc.lineno}: not valid JSON: {exc.msg} at column {exc.colno}"
+        ) from None
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a reference model file")
     if obj.get("version") != MODEL_VERSION:

@@ -17,6 +17,7 @@ structural meaning.
 from __future__ import annotations
 
 import re
+from operator import methodcaller
 
 TokenSeq = list[str]
 
@@ -26,6 +27,7 @@ INS_OPEN = "<ins>"
 INS_CLOSE = "</ins>"
 
 TAG_TOKENS = (DEL_OPEN, DEL_CLOSE, INS_OPEN, INS_CLOSE)
+_TAG_SET = frozenset(TAG_TOKENS)
 
 _DOMAIN_RE = re.compile(r"<dom:[^>\s]+>\Z")
 # Tokens that must be escaped: a reserved token, or one already escaped.
@@ -46,12 +48,29 @@ def is_tag_token(token: str) -> bool:
 
 
 def is_domain_token(token: str) -> bool:
-    return _DOMAIN_RE.fullmatch(token) is not None
+    # the prefix test is exact (the pattern starts with it) and spares the regex
+    return token.startswith("<dom:") and _DOMAIN_RE.fullmatch(token) is not None
 
 
 def is_reserved_token(token: str) -> bool:
     """True for tag tokens and domain tokens."""
-    return token in TAG_TOKENS or is_domain_token(token)
+    return token in _TAG_SET or is_domain_token(token)
+
+
+_starts_domain = methodcaller("startswith", "<dom:")
+
+
+def find_reserved(tokens: TokenSeq) -> int:
+    """Position of the first reserved token in ``tokens``, or -1 if none is."""
+    # C-level scans first: only a tag or a "<dom:"-prefixed token can be reserved
+    if _TAG_SET.isdisjoint(tokens) and not any(map(_starts_domain, tokens)):
+        return -1
+    return next((i for i, tok in enumerate(tokens) if is_reserved_token(tok)), -1)
+
+
+def same_tokens(a: TokenSeq, b: TokenSeq) -> bool:
+    """Token-wise equality; a list and a tuple of the same tokens are equal."""
+    return a == b if type(a) is type(b) else tuple(a) == tuple(b)
 
 
 def domain_token(name: str) -> str:
@@ -68,7 +87,8 @@ def domain_name(token: str) -> str:
 
 
 def _escape(token: str) -> str:
-    if _ESCAPED_RE.fullmatch(token):
+    # every token the pattern matches ends with ">"
+    if token.endswith(">") and _ESCAPED_RE.fullmatch(token):
         return ESCAPE_PREFIX + token
     return token
 
@@ -82,9 +102,9 @@ def _unescape(token: str) -> str:
 def _split_apostrophes(token: str) -> list[str]:
     # Cut before every apostrophe past position 0 ("don't" -> "don", "'t").
     # Cutting at all of them keeps the rule idempotent on its own output.
-    cuts = [i for i, c in enumerate(token) if c == "'" and i > 0]
-    if not cuts:
+    if token.find("'", 1) < 0:
         return [token]
+    cuts = [i for i, c in enumerate(token) if c == "'" and i > 0]
     pieces = []
     prev = 0
     for i in cuts:
@@ -115,7 +135,11 @@ def tokenize(text: str) -> TokenSeq:
     """
     tokens: TokenSeq = []
     for chunk in text.split():
-        tokens.extend(_split_chunk(chunk))
+        # most chunks are a bare word: no edge punctuation, no inner apostrophe
+        if chunk[0] in _DETACH or chunk[-1] in _DETACH or chunk.find("'", 1) >= 0:
+            tokens.extend(_split_chunk(chunk))
+        else:
+            tokens.append(chunk)
     return [_escape(t) for t in tokens]
 
 
@@ -126,9 +150,9 @@ def detokenize(tokens: TokenSeq) -> str:
     Attachment rules: closing punctuation and apostrophe-initial tokens
     attach left, opening brackets attach right, double quotes alternate.
     """
-    for i, tok in enumerate(tokens):
-        if is_reserved_token(tok):
-            raise ValueError(f"reserved token at position {i}: {tok!r}")
+    i = find_reserved(tokens)
+    if i >= 0:
+        raise ValueError(f"reserved token at position {i}: {tokens[i]!r}")
     out: list[str] = []
     glue_next = False
     quote_open = False

@@ -365,6 +365,27 @@ class TestDecodePipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {model}: ")
 
+    def test_decode_model_not_utf8_exits_1(self, capsys):
+        model = train_model()
+        Path(model).write_bytes(Path(model).read_bytes().replace(b'"lm"', b'"l\xffm"'))
+        write("test.src", TEST_SRC)
+        capsys.readouterr()
+        assert main(["decode", "--model", model, "--src", "test.src", "--out", "o.tag"]) == 1
+        assert capsys.readouterr().err == f"error: {model}:1: not valid UTF-8\n"
+        assert not Path("o.tag").exists()
+
+    def test_decode_model_not_json_exits_1(self, capsys):
+        model = train_model()
+        text = Path(model).read_text()
+        # the file cut short, after a line break that the error must count
+        Path(model).write_text(text[: len(text) // 2].replace(", ", ",\n", 1))
+        write("test.src", TEST_SRC)
+        capsys.readouterr()
+        assert main(["decode", "--model", model, "--src", "test.src", "--out", "o.tag"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {model}:2: not valid JSON: ")
+        assert not Path("o.tag").exists()
+
     def test_tune_table(self, capsys):
         model = train_model()
         write("dev.src", TEST_SRC)

@@ -350,6 +350,31 @@ class TestKBest:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad k-best record: "):
             read_kbest(str(path))
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            pytest.param(lambda toks: "x" * len(toks), id="string"),
+            pytest.param(lambda toks: [1] + toks[1:], id="number-item"),
+            pytest.param(lambda toks: toks[:-1] + [None], id="null-item"),
+            pytest.param(lambda toks: toks[:-1] + [["a"]], id="list-item"),
+            pytest.param(lambda toks: {f"t{i}": 0 for i in range(len(toks))}, id="object"),
+        ],
+    )
+    def test_read_rejects_tokens_not_a_list_of_strings(self, tmp_path, spoil):
+        # the old reader took "xx" as ("x", "x") and kept non-string items;
+        # each spoiled value has as many items as the probabilities expect
+        path = tmp_path / "kb.jsonl"
+        write_kbest(self.make_records(), str(path))
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        assert obj["tokens"]
+        obj["tokens"] = spoil(obj["tokens"])
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        want = f"^{re.escape(str(path))}:2: bad k-best record: tokens must be a list of strings"
+        with pytest.raises(ValueError, match=want):
+            read_kbest(str(path))
+
     def test_read_names_line_of_bad_utf8(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         write_kbest(self.make_records(), str(path))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import difflib
 import random
 
 import pytest
@@ -21,7 +22,14 @@ from gecdiff.diff_codec import (
     to_char_view,
     validate_tagged,
 )
-from gecdiff.text_norm import DEL_CLOSE, DEL_OPEN, INS_CLOSE, INS_OPEN, is_domain_token
+from gecdiff.text_norm import (
+    DEL_CLOSE,
+    DEL_OPEN,
+    INS_CLOSE,
+    INS_OPEN,
+    is_domain_token,
+    is_reserved_token,
+)
 
 SRC = ["the", "cat", "sat"]
 
@@ -301,3 +309,124 @@ def test_repair_soundness_property(stream, source):
     fixed = repair(stream, source)
     assert validate_tagged(fixed, source).valid
     assert repair(fixed, source) == fixed
+
+
+# ---------------------------------------------------------------------------
+# encode_diffs and parse_spans as they were before their fast paths (equal
+# sides skip difflib, untagged sequences skip the span scan), kept verbatim.
+
+
+def oracle_encode_diffs(source, target):
+    for name, seq in (("source", source), ("target", target)):
+        for i, tok in enumerate(seq):
+            if is_reserved_token(tok):
+                raise ValueError(f"reserved token in {name} at position {i}: {tok!r}")
+    matcher = difflib.SequenceMatcher(a=source, b=target, autojunk=False)
+    out = []
+    for op, i1, i2, j1, j2 in matcher.get_opcodes():
+        if op == "equal":
+            out.extend(source[i1:i2])
+            continue
+        if op in ("delete", "replace"):
+            out.append(DEL_OPEN)
+            out.extend(source[i1:i2])
+            out.append(DEL_CLOSE)
+        if op in ("insert", "replace"):
+            out.append(INS_OPEN)
+            out.extend(target[j1:j2])
+            out.append(INS_CLOSE)
+    return out
+
+
+def oracle_parse_spans(tagged):
+    segments = []
+    mode = "plain"
+    span = []
+    plain = []
+
+    def flush_plain():
+        if plain:
+            segments.append(("plain", list(plain)))
+            plain.clear()
+
+    for i, tok in enumerate(tagged):
+        if is_domain_token(tok):
+            if i != 0:
+                raise MalformedTagsError(f"domain token not at position 0 (position {i})")
+            segments.append(("dom", [tok]))
+        elif tok in (DEL_OPEN, INS_OPEN):
+            if mode != "plain":
+                raise MalformedTagsError(f"nested tag {tok} at position {i}")
+            flush_plain()
+            mode = "del" if tok == DEL_OPEN else "ins"
+        elif tok in (DEL_CLOSE, INS_CLOSE):
+            want = "del" if tok == DEL_CLOSE else "ins"
+            if mode != want:
+                raise MalformedTagsError(f"unmatched {tok} at position {i}")
+            segments.append((mode, list(span)))
+            span.clear()
+            mode = "plain"
+        elif mode == "plain":
+            plain.append(tok)
+        else:
+            span.append(tok)
+    if mode != "plain":
+        raise MalformedTagsError(f"unclosed <{mode}> span at end of sequence")
+    flush_plain()
+    return segments
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+LOOKALIKES = ["<dom:>", "<dom:a>b>", "##<del>", "####<ins>", "x'", "'tis", "''", "[<ins>]"]
+RESERVED = [DEL_OPEN, DEL_CLOSE, INS_OPEN, INS_CLOSE, "<dom:x>"]
+
+
+def test_encode_diffs_matches_oracle_on_seeded_fuzz():
+    rng = random.Random(2017)
+    vocab = ["a", "b", "c", "d"] + LOOKALIKES
+    for n in range(6_000):
+        src = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
+        if n % 2:
+            tgt = list(src)  # about half the pairs, as in a training corpus
+        else:
+            tgt = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
+        if n % 50 == 0:
+            # a reserved token on either side, or both sides when they are equal
+            side = tgt if n % 100 else src
+            side.insert(rng.randint(0, len(side)), rng.choice(RESERVED))
+            if n % 200 == 0:
+                tgt = list(src)
+        want = outcome(oracle_encode_diffs, src, tgt)
+        for s, t in ((src, tgt), (tuple(src), tuple(tgt)), (src, tuple(tgt)), (tuple(src), tgt)):
+            got = outcome(encode_diffs, s, t)
+            assert got == want, (s, t)
+            if got[0] == "ok":
+                assert type(got[1]) is list
+
+
+def test_encode_diffs_identical_pair_with_reserved_token_raises():
+    for tok in RESERVED:
+        for seq in (["a", tok], (tok,), ["a", "b", tok, "c"]):
+            with pytest.raises(ValueError, match="reserved token in source at position "):
+                encode_diffs(seq, list(seq))
+    assert encode_diffs(["a", "b"], ("a", "b")) == ["a", "b"]
+    assert encode_diffs((), []) == []
+
+
+def test_parse_spans_matches_oracle_on_seeded_fuzz():
+    rng = random.Random(31)
+    pool = ["a", "b"] + LOOKALIKES + RESERVED
+    cases = [[], ["a"], LOOKALIKES, ["<dom:x>"], ["<dom:>", "a"]]
+    for n in range(6_000):
+        # every third sequence untagged, the rest with tags anywhere
+        vocab = pool[: 2 + len(LOOKALIKES)] if n % 3 == 0 else pool
+        cases.append([rng.choice(vocab) for _ in range(rng.randint(0, 9))])
+    for tagged in cases:
+        for seq in (tagged, tuple(tagged)):
+            assert outcome(parse_spans, seq) == outcome(oracle_parse_spans, seq), seq

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -279,3 +280,99 @@ class TestModelFiles:
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
+
+
+# ---------------------------------------------------------------------------
+# train_lm as it was before it counted n-grams per order (one setdefault per
+# token per order), kept verbatim as the oracle.
+
+
+def oracle_train_lm(targets, order=3, interp=0.5, unk_mass=0.1):
+    if not targets:
+        raise ValueError("empty corpus")
+    counts = {}
+    for sent in targets:
+        toks = list(sent) + [EOS]
+        history = [BOS] * (order - 1)
+        for tok in toks:
+            for k in range(order):
+                ctx = tuple(history[len(history) - k :])
+                counts.setdefault(ctx, Counter())[tok] += 1
+            history.append(tok)
+            history = history[-(order - 1) :] if order > 1 else []
+    return NGramLM(order, counts, interp, unk_mass)
+
+
+def fuzz_corpus(rng: random.Random, n: int) -> list:
+    # a small vocabulary makes contexts repeat; BOS and EOS as words, empty
+    # sentences, and tuple sentences too
+    vocab = ["a", "b", "c", "d", "the", BOS, EOS, "a b"]
+    corpus = []
+    for i in range(n):
+        sent = [rng.choice(vocab) for _ in range(rng.randint(0, 9))]
+        corpus.append(tuple(sent) if i % 3 == 0 else sent)
+    return corpus
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_train_lm_matches_oracle(tmp_path, order, seed):
+    rng = random.Random(seed * 10 + order)
+    corpus = fuzz_corpus(rng, rng.randint(1, 60))
+    got, want = train_lm(corpus, order), oracle_train_lm(corpus, order)
+    assert got.counts == want.counts
+    # each context's words in first-seen order, as the old loop added them
+    for ctx, words in want.counts.items():
+        assert list(got.counts[ctx].items()) == list(words.items())
+    assert got.totals == want.totals and got.vocab == want.vocab
+    lex = harvest(TEH_PAIRS)
+    save_model(str(tmp_path / "got.json"), lex, got)
+    save_model(str(tmp_path / "want.json"), lex, want)
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def test_save_model_bytes_match_streaming_encoder(tmp_path):
+    # the C encoder writes what json.dump streamed, non-ASCII text included
+    import json
+
+    pairs = TEH_PAIRS + [(["naïve", "café"], ["naive", "café", "—"])]
+    lex, lm = harvest(pairs), train_lm([t for _, t in pairs])
+    path = tmp_path / "model.json"
+    save_model(str(path), lex, lm)
+    text = path.read_text(encoding="utf-8")
+    obj = json.loads(text)
+    with open(tmp_path / "streamed.json", "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, ensure_ascii=False)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
+    assert "café" in text and "\\u" not in text
+
+
+class TestModelFileErrors:
+    def saved(self, tmp_path) -> str:
+        path = str(tmp_path / "model.json")
+        save_model(path, harvest(TEH_PAIRS), train_lm([t for _, t in TEH_PAIRS]))
+        return path
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        path = self.saved(tmp_path)
+        data = open(path, "rb").read().replace(b'"lm"', b'"l\xffm"')
+        open(path, "wb").write(b"\n" + data)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:2: not valid UTF-8$"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "spoil, line",
+        [
+            pytest.param(lambda text: text[: len(text) // 2], 1, id="truncated"),
+            pytest.param(lambda text: text.replace(", ", ",\n\n", 1)[:-9], 3, id="truncated-3-lines"),
+            pytest.param(lambda text: "", 1, id="empty"),
+            pytest.param(lambda text: text + "{}", 2, id="trailing-data"),
+        ],
+    )
+    def test_not_json_names_file_and_line(self, tmp_path, spoil, line):
+        path = self.saved(tmp_path)
+        text = open(path, encoding="utf-8").read()
+        open(path, "w", encoding="utf-8").write(spoil(text))
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: not valid JSON: "):
+            load_model(path)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,12 +11,16 @@ from gecdiff.text_norm import (
     DEL_OPEN,
     INS_CLOSE,
     INS_OPEN,
+    TAG_TOKENS,
+    _escape,
     detokenize,
     domain_name,
     domain_token,
+    find_reserved,
     is_domain_token,
     is_reserved_token,
     is_tag_token,
+    same_tokens,
     tokenize,
 )
 
@@ -127,3 +134,118 @@ def test_tokenize_never_emits_reserved(text):
 def test_detokenize_round_trip_plain(words):
     toks = tokenize(" ".join(words))
     assert tokenize(detokenize(toks)) == toks
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer and reserved-token checks as they were before their fast
+# paths (prefix and suffix tests ahead of the regexes, bare words skipping the
+# chunk splitter), kept verbatim as oracles.
+
+_ORACLE_DOMAIN_RE = re.compile(r"<dom:[^>\s]+>\Z")
+_ORACLE_ESCAPED_RE = re.compile(r"(##)*(?:<del>|</del>|<ins>|</ins>|<dom:[^>\s]+>)\Z")
+_ORACLE_DETACH = set(',.;:!?"()[]')
+
+
+def oracle_is_domain_token(token: str) -> bool:
+    return _ORACLE_DOMAIN_RE.fullmatch(token) is not None
+
+
+def oracle_is_reserved_token(token: str) -> bool:
+    return token in TAG_TOKENS or oracle_is_domain_token(token)
+
+
+def oracle_escape(token: str) -> str:
+    if _ORACLE_ESCAPED_RE.fullmatch(token):
+        return "##" + token
+    return token
+
+
+def oracle_split_apostrophes(token: str) -> list[str]:
+    cuts = [i for i, c in enumerate(token) if c == "'" and i > 0]
+    if not cuts:
+        return [token]
+    pieces = []
+    prev = 0
+    for i in cuts:
+        if i > prev:
+            pieces.append(token[prev:i])
+        prev = i
+    pieces.append(token[prev:])
+    return pieces
+
+
+def oracle_split_chunk(chunk: str) -> list[str]:
+    lead: list[str] = []
+    while len(chunk) > 1 and chunk[0] in _ORACLE_DETACH:
+        lead.append(chunk[0])
+        chunk = chunk[1:]
+    trail: list[str] = []
+    while len(chunk) > 1 and chunk[-1] in _ORACLE_DETACH:
+        trail.append(chunk[-1])
+        chunk = chunk[:-1]
+    return lead + oracle_split_apostrophes(chunk) + trail[::-1]
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    for chunk in text.split():
+        tokens.extend(oracle_split_chunk(chunk))
+    return [oracle_escape(t) for t in tokens]
+
+
+ADVERSARIAL = [
+    "<dom:>", "<dom:a>b>", "##<del>", "####<ins>", "x'", "'tis", "rock'n'roll", "''",
+    "(don't)", "[<ins>]", "<dom:a>", "<dom:a b>", "<dom:a>>", "<dom:a\t>", "##<dom:x>",
+    "<del>", "</del>", "<ins>", "</ins>", "<del", "del>", "#<del>", "<DEL>", "<dom:",
+    ">", "<", "'", "(", ")", "[", "]", '"', ",", ".", "a", "ab", "it's", "'s'",
+]
+PIECES = ADVERSARIAL + ["<", ">", "dom:", "del", "/", "#", "##", "'", "x", "yz", ".", "("]
+
+
+def fuzz_texts(rng: random.Random, n: int):
+    for _ in range(n):
+        parts = []
+        for _ in range(rng.randint(0, 8)):
+            parts.append(rng.choice(PIECES))
+            parts.append(rng.choice(["", "", "", " ", " ", "\t", "\n", "  "]))
+        yield "".join(parts)
+
+
+def test_tokenize_matches_oracle_on_adversarial_tokens():
+    for tok in ADVERSARIAL:
+        for text in (tok, f" {tok} ", f"a {tok} b", tok + tok, f"({tok})", f"{tok}'s."):
+            assert tokenize(text) == oracle_tokenize(text), text
+
+
+def test_tokenize_matches_oracle_on_seeded_fuzz():
+    rng = random.Random(90210)
+    for text in fuzz_texts(rng, 20_000):
+        assert tokenize(text) == oracle_tokenize(text), text
+
+
+def test_token_predicates_match_oracle_on_seeded_fuzz():
+    rng = random.Random(4471)
+    tokens = set(ADVERSARIAL)
+    for _ in range(20_000):
+        tokens.add("".join(rng.choice(PIECES) for _ in range(rng.randint(1, 4))))
+    for tok in sorted(tokens):
+        assert is_domain_token(tok) == oracle_is_domain_token(tok), tok
+        assert is_reserved_token(tok) == oracle_is_reserved_token(tok), tok
+        assert _escape(tok) == oracle_escape(tok), tok
+
+
+def test_find_reserved_matches_a_scan():
+    rng = random.Random(77)
+    cases = [[], ["<dom:>"], ["<dom:a>b>", "##<del>"], ["a", "<dom:x>"], ["<dom:", "</ins>"]]
+    for _ in range(5_000):
+        cases.append([rng.choice(ADVERSARIAL) for _ in range(rng.randint(0, 6))])
+    for toks in cases:
+        want = next((i for i, t in enumerate(toks) if oracle_is_reserved_token(t)), -1)
+        assert find_reserved(toks) == want, toks
+        assert find_reserved(tuple(toks)) == want, toks
+
+
+def test_same_tokens_ignores_sequence_type():
+    assert same_tokens(["a", "b"], ("a", "b"))
+    assert same_tokens(("a",), ("a",)) and same_tokens([], ())
+    assert not same_tokens(["a"], ("a", "b")) and not same_tokens(["a", "b"], ["b", "a"])
