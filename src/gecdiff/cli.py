@@ -47,6 +47,7 @@ from .decode_bias import (
     write_kbest,
 )
 from .diff_codec import (
+    MalformedTagsError,
     encode_diffs,
     prepend_domain,
     repair,
@@ -65,7 +66,7 @@ from .metrics import (
     paired_bootstrap,
 )
 from .reference_scorer import harvest, load_model, save_model, scorer, train_lm
-from .text_norm import TokenSeq, tokenize
+from .text_norm import TokenSeq, find_reserved, tokenize
 
 DEFAULT_SEED = 13
 
@@ -120,6 +121,18 @@ def _check_same_length(name_a: str, a: list, name_b: str, b: list) -> None:
         raise ValueError(f"{name_a} has {len(a)} lines, {name_b} has {len(b)}")
 
 
+def _read_untagged(path: str, what: str, allow_empty: bool = True) -> list[TokenSeq]:
+    """Token lines that hold no reserved token, such as sources and hypotheses."""
+    lines = read_token_lines(path)
+    for n, toks in enumerate(lines, 1):
+        if not toks and not allow_empty:
+            raise ValueError(f"{path}:{n}: empty {what} line")
+        i = find_reserved(toks)
+        if i >= 0:
+            raise ValueError(f"{path}:{n}: reserved token in {what} at position {i}: {toks[i]!r}")
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (inputs, outputs, seed)
 
@@ -146,16 +159,19 @@ def _cmd_diff(args):
 def _cmd_strip(args):
     strip = strip_to_source if args.side == "source" else strip_to_target
     out = []
-    for tagged in read_token_lines(args.infile):
+    for n, tagged in enumerate(read_token_lines(args.infile), 1):
         _, body = split_domain(tagged)
-        out.append(strip(body))
+        try:
+            out.append(strip(body))
+        except MalformedTagsError as exc:
+            raise ValueError(f"{args.infile}:{n}: {exc}") from None
     _write_lines(args.out, out)
     return [args.infile], [args.out], None
 
 
 def _cmd_repair(args):
     tagged_lines = read_token_lines(args.infile)
-    sources = read_token_lines(args.src)
+    sources = _read_untagged(args.src, "source")
     _check_same_length(args.infile, tagged_lines, args.src, sources)
     _write_lines(args.out, [repair(t, s) for t, s in zip(tagged_lines, sources)])
     return [args.infile, args.src], [args.out], None
@@ -163,7 +179,7 @@ def _cmd_repair(args):
 
 def _cmd_validate(args):
     tagged_lines = read_token_lines(args.infile)
-    sources = read_token_lines(args.src)
+    sources = _read_untagged(args.src, "source")
     _check_same_length(args.infile, tagged_lines, args.src, sources)
     records = []
     valid = 0
@@ -269,10 +285,7 @@ def _decode_one(item: tuple[int, TokenSeq]):
 
 
 def _cmd_decode(args):
-    sources = read_token_lines(args.src)
-    for n, s in enumerate(sources, 1):
-        if not s:
-            raise ValueError(f"{args.src}:{n}: empty source line")
+    sources = _read_untagged(args.src, "source", allow_empty=False)
     bias = BiasVector.parse(args.bias) if args.bias else None
     cfg = DecodeConfig(
         beam=args.beam, max_len=args.max_len, constrained=args.constrained, bias=bias
@@ -384,7 +397,7 @@ def _cmd_gleu(args):
 
 
 def _cmd_m2(args):
-    hyps = read_token_lines(args.hyp)
+    hyps = _read_untagged(args.hyp, "hypothesis")
     golds = load_m2_gold(args.gold)
     _check_same_length(args.hyp, hyps, args.gold, golds)
     report = m2_corpus(hyps, golds, args.max_unchanged, args.beta)
@@ -462,7 +475,7 @@ def _cmd_bootstrap(args):
 
 
 def _cmd_analyze(args):
-    hyps = read_token_lines(args.hyp)
+    hyps = _read_untagged(args.hyp, "hypothesis")
     golds = load_m2_gold(args.gold)
     _check_same_length(args.hyp, hyps, args.gold, golds)
     system = []
@@ -517,7 +530,7 @@ def _cmd_rerank(args):
     lines = list(best.values())
     inputs = [args.kbest]
     if args.src:
-        sources = read_token_lines(args.src)
+        sources = _read_untagged(args.src, "source")
         expected = set(range(len(sources)))
         if best.keys() != expected:
             missing = sorted(expected - best.keys())

@@ -23,7 +23,7 @@ from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .corpus_io import not_utf8
-from .diff_codec import repair, strip_to_target
+from .diff_codec import NEXT_MODE, TAG_MOVES, repair, strip_to_target
 from .metrics import PRF, DEFAULT_BETA, GoldAnnotation, m2_maxmatch
 from .text_norm import (
     DEL_CLOSE,
@@ -145,27 +145,20 @@ def _check_dist(dist: dict[str, float]) -> None:
 # ---------------------------------------------------------------------------
 # constrained-mode tag automaton
 
-_OUT, _DEL, _INS = 0, 1, 2
-
 
 class _Auto(NamedTuple):
-    mode: int = _OUT
+    mode: str = "plain"  # a mode of diff_codec.NEXT_MODE
     consumed: int = 0
     span_len: int = 0
 
-    def needed(self, source_len: int) -> int:
-        # steps still required to reach a valid end: close + copies + EOS
-        return (1 if self.mode != _OUT else 0) + (source_len - self.consumed) + 1
-
     def advance(self, source: TokenSeq, token: str) -> "_Auto":
-        if token == DEL_OPEN:
-            return _Auto(_DEL, self.consumed, 0)
-        if token == INS_OPEN:
-            return _Auto(_INS, self.consumed, 0)
-        if token in (DEL_CLOSE, INS_CLOSE):
-            return _Auto(_OUT, self.consumed, 0)
-        if self.mode == _INS:
-            return _Auto(_INS, self.consumed, self.span_len + 1)
+        if token in TAG_TOKENS:
+            nxt = NEXT_MODE.get((self.mode, token))
+            # a tag illegal here leaves the automaton as it is; ``allowed``
+            # never offers one
+            return self if nxt is None else _Auto(nxt, self.consumed, 0)
+        if self.mode == "ins":
+            return _Auto("ins", self.consumed, self.span_len + 1)
         return _Auto(self.mode, self.consumed + 1, self.span_len + 1)
 
     def allowed(self, source: TokenSeq, dist: dict[str, float], budget: int) -> set[str]:
@@ -173,31 +166,27 @@ class _Auto(NamedTuple):
 
         ``budget`` is the number of steps remaining including this one.
         """
-        need = self.needed(len(source))
-        moves: set[str] = set()
+        mode = self.mode
         remaining = len(source) - self.consumed
-        if self.mode == _OUT:
-            if remaining:
-                if budget - 1 >= need - 1:
-                    moves.add(source[self.consumed])
-                if budget - 1 >= need + 1:
-                    moves.add(DEL_OPEN)
-            if budget - 1 >= need + 2:
-                moves.add(INS_OPEN)
-            if remaining == 0:
-                moves.add(EOS)
-        elif self.mode == _DEL:
-            if remaining and budget - 1 >= need - 1:
+        # steps to spare past the shortest valid end: close + copies + EOS
+        spare = budget - 2 - remaining - (mode != "plain")
+        moves: set[str] = set()
+        if mode == "ins":
+            if spare >= 0:
+                moves.update(t for t in dist if t != EOS and not is_reserved_token(t))
+        elif remaining:
+            if spare >= -1:
                 moves.add(source[self.consumed])
-            if self.span_len and budget - 1 >= need - 1:
-                moves.add(DEL_CLOSE)
-        else:  # _INS
-            if self.span_len and budget - 1 >= need - 1:
-                moves.add(INS_CLOSE)
-            if budget - 1 >= need:
-                for tok in dist:
-                    if tok != EOS and not is_reserved_token(tok):
-                        moves.add(tok)
+        elif mode == "plain":
+            moves.add(EOS)
+        for tag, nxt in TAG_MOVES[mode]:
+            if nxt == "plain":  # a closer; no span closes empty
+                if self.span_len and spare >= -1:
+                    moves.add(tag)
+            # an opener: room for its closer and a word to fill the span, an
+            # inserted one or a source token to delete
+            elif spare >= 2 if nxt == "ins" else remaining and spare >= 1:
+                moves.add(tag)
         return moves
 
 

@@ -7,9 +7,12 @@ replacement is a deletion span followed by an insertion span.  Stripping
 the deletions yields the corrected target; stripping the insertions yields
 the original source.  An optional ``<dom:NAME>`` token may sit at position 0.
 
-Model output is not trusted to be well formed, so this module also provides
-``validate_tagged`` (a structured report) and ``repair`` (a deterministic
-projection back onto the valid set that preserves insertion content).
+The span grammar is defined once, in ``NEXT_MODE``: parsing, validation,
+repair, the decoder's constrained mask and the reference scorer all look
+tags up there.  Model output is not trusted to be well formed, so this
+module also provides ``validate_tagged`` (a structured report) and
+``repair`` (a deterministic projection back onto the valid set that
+preserves insertion content).
 """
 
 from __future__ import annotations
@@ -22,18 +25,36 @@ from .text_norm import (
     DEL_OPEN,
     INS_CLOSE,
     INS_OPEN,
+    TAG_TOKENS,
     TokenSeq,
     domain_name,
     domain_token,
     find_reserved,
     is_domain_token,
     is_reserved_token,
-    is_tag_token,
     same_tokens,
 )
 
 # Delimiter between top-level tokens in the character view (open box, U+2423).
 CHAR_DELIM = "␣"
+
+
+# The span grammar: (mode, tag) -> next mode.  Modes are "plain" (copied
+# source), "del" and "ins".  A tag with no entry for the current mode breaks
+# the grammar (a nested open or a stray closer).  Every word outside "ins"
+# replays the next source token; words inside "ins" are free.
+NEXT_MODE = {
+    ("plain", DEL_OPEN): "del",
+    ("plain", INS_OPEN): "ins",
+    ("del", DEL_CLOSE): "plain",
+    ("ins", INS_CLOSE): "plain",
+}
+OPENS = {tag: span for (mode, tag), span in NEXT_MODE.items() if mode == "plain"}
+CLOSER = {mode: tag for (mode, tag), nxt in NEXT_MODE.items() if nxt == "plain"}
+TAG_MOVES = {  # mode -> the (tag, next mode) moves the grammar allows from it
+    m: tuple((tag, nxt) for (mode, tag), nxt in NEXT_MODE.items() if mode == m)
+    for m, _ in NEXT_MODE
+}
 
 
 class MalformedTagsError(ValueError):
@@ -89,38 +110,27 @@ def parse_spans(tagged: TokenSeq) -> list[tuple[str, TokenSeq]]:
         return [("plain", list(tagged))] if tagged else []
     segments: list[tuple[str, TokenSeq]] = []
     mode = "plain"
-    span: TokenSeq = []
-    plain: TokenSeq = []
-
-    def flush_plain() -> None:
-        if plain:
-            segments.append(("plain", list(plain)))
-            plain.clear()
-
+    run: TokenSeq = []  # tokens of the open segment
     for i, tok in enumerate(tagged):
-        if is_domain_token(tok):
+        if tok in TAG_TOKENS:
+            nxt = NEXT_MODE.get((mode, tok))
+            if nxt is None:
+                what = "nested tag" if tok in OPENS else "unmatched"
+                raise MalformedTagsError(f"{what} {tok} at position {i}")
+            if run or mode != "plain":  # a span is kept even when empty
+                segments.append((mode, run))
+                run = []
+            mode = nxt
+        elif is_domain_token(tok):
             if i != 0:
                 raise MalformedTagsError(f"domain token not at position 0 (position {i})")
             segments.append(("dom", [tok]))
-        elif tok in (DEL_OPEN, INS_OPEN):
-            if mode != "plain":
-                raise MalformedTagsError(f"nested tag {tok} at position {i}")
-            flush_plain()
-            mode = "del" if tok == DEL_OPEN else "ins"
-        elif tok in (DEL_CLOSE, INS_CLOSE):
-            want = "del" if tok == DEL_CLOSE else "ins"
-            if mode != want:
-                raise MalformedTagsError(f"unmatched {tok} at position {i}")
-            segments.append((mode, list(span)))
-            span.clear()
-            mode = "plain"
-        elif mode == "plain":
-            plain.append(tok)
         else:
-            span.append(tok)
+            run.append(tok)
     if mode != "plain":
         raise MalformedTagsError(f"unclosed <{mode}> span at end of sequence")
-    flush_plain()
+    if run:
+        segments.append(("plain", run))
     return segments
 
 
@@ -141,18 +151,19 @@ def prepend_domain(seq: TokenSeq, name: str) -> TokenSeq:
 
 def strip_to_target(tagged: TokenSeq) -> TokenSeq:
     """Drop deletions and tags, keep insertions: the corrected sentence."""
-    out: TokenSeq = []
-    for kind, tokens in parse_spans(tagged):
-        if kind in ("plain", "ins"):
-            out.extend(tokens)
-    return out
+    return _keep(tagged, "ins")
 
 
 def strip_to_source(tagged: TokenSeq) -> TokenSeq:
     """Drop insertions and tags, keep deletions: the original sentence."""
+    return _keep(tagged, "del")
+
+
+def _keep(tagged: TokenSeq, span: str) -> TokenSeq:
+    """The plain tokens and those of the ``span`` segments, in order."""
     out: TokenSeq = []
     for kind, tokens in parse_spans(tagged):
-        if kind in ("plain", "del"):
+        if kind == "plain" or kind == span:
             out.extend(tokens)
     return out
 
@@ -185,23 +196,16 @@ def validate_tagged(tagged: TokenSeq, source: TokenSeq) -> ValidityReport:
     ptr = 0  # next source token expected
     last = {tok: j for j, tok in enumerate(source)}  # last index of each token
     for i, tok in enumerate(tagged):
+        if tok in TAG_TOKENS:
+            nxt = NEXT_MODE.get((mode, tok))
+            if nxt is None:
+                violations.append(Violation(i, "unbalanced-tag"))
+            else:
+                mode = nxt
+            continue
         if is_domain_token(tok):
             if i != 0:
                 violations.append(Violation(i, "unbalanced-tag"))
-            continue
-        if tok in (DEL_OPEN, INS_OPEN):
-            want = "del" if tok == DEL_OPEN else "ins"
-            if mode != "plain":
-                violations.append(Violation(i, "unbalanced-tag"))
-            else:
-                mode = want
-            continue
-        if tok in (DEL_CLOSE, INS_CLOSE):
-            want = "del" if tok == DEL_CLOSE else "ins"
-            if mode != want:
-                violations.append(Violation(i, "unbalanced-tag"))
-            else:
-                mode = "plain"
             continue
         if mode == "ins":
             continue  # insertion content is free
@@ -229,42 +233,31 @@ def repair(tagged: TokenSeq, source: TokenSeq) -> TokenSeq:
     Greedy left-to-right: insertion content is kept verbatim; outside
     insertions the output replays source tokens in order, substituting the
     current source token for any mismatch; surplus tokens past the end of
-    source are dropped and unconsumed source tokens are appended.  Unmatched
-    closers are dropped, an open span at a new tag or at the end is closed,
-    and a misplaced domain token is dropped.  Output always validates, and
-    valid input is returned unchanged.
+    source are dropped and unconsumed source tokens are appended.  A tag the
+    grammar rejects is dropped, unless it opens the other kind of span: then
+    the open span is closed first.  An open span at the end is closed, and a
+    misplaced domain token is dropped.  ``source`` must hold no reserved
+    token; given that, the output always validates, and valid input is
+    returned unchanged.
     """
     out: TokenSeq = []
     mode = "plain"
     ptr = 0
-
-    def close_open_span() -> None:
-        nonlocal mode
-        if mode == "del":
-            out.append(DEL_CLOSE)
-        elif mode == "ins":
-            out.append(INS_CLOSE)
-        mode = "plain"
-
     for i, tok in enumerate(tagged):
+        if tok in TAG_TOKENS:
+            nxt = NEXT_MODE.get((mode, tok))
+            if nxt is None:
+                nxt = OPENS.get(tok)
+                if nxt is None or nxt == mode:
+                    continue  # a stray closer or a redundant reopen
+                out.append(CLOSER[mode])
+            out.append(tok)
+            mode = nxt
+            continue
         if is_domain_token(tok):
             if i == 0:
                 out.append(tok)
             continue
-        if tok in (DEL_OPEN, INS_OPEN):
-            want = "del" if tok == DEL_OPEN else "ins"
-            if mode == want:
-                continue  # redundant reopen
-            close_open_span()
-            out.append(tok)
-            mode = want
-            continue
-        if tok in (DEL_CLOSE, INS_CLOSE):
-            want = "del" if tok == DEL_CLOSE else "ins"
-            if mode == want:
-                out.append(tok)
-                mode = "plain"
-            continue  # unmatched closer dropped
         if mode == "ins":
             out.append(tok)
             continue
@@ -273,9 +266,9 @@ def repair(tagged: TokenSeq, source: TokenSeq) -> TokenSeq:
             out.append(source[ptr])
             ptr += 1
         # surplus beyond source length dropped
-    close_open_span()
-    if ptr < len(source):
-        out.extend(source[ptr:])
+    if mode != "plain":
+        out.append(CLOSER[mode])
+    out.extend(source[ptr:])
     return out
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .corpus_io import not_utf8
 from .decode_bias import EOS
-from .diff_codec import encode_diffs
+from .diff_codec import NEXT_MODE, encode_diffs
 from .edit_extract import edits_from_tagged
 from .text_norm import (
     DEL_CLOSE,
@@ -210,10 +210,10 @@ def train_lm(
 class RefState(NamedTuple):
     src: tuple[str, ...]
     i: int  # next unconsumed source position
-    mode: str  # out | del | postdel | ins
+    mode: str  # plain | del | ins, as in diff_codec.NEXT_MODE
     ctx: tuple[str, ...]  # recent target-side tokens for the LM
     del_start: int = 0
-    del_phrase: tuple[str, ...] | None = None  # set while in postdel
+    del_phrase: tuple[str, ...] | None = None  # the deletion just closed, while plain
     ins_prefix: tuple[str, ...] = ()
     repl_src: tuple[str, ...] | None = None  # replacement mode when set
     ins_key: str | None = None
@@ -264,7 +264,7 @@ class RefScorer:
 
     def start(self, source: TokenSeq) -> RefState:
         ctx = (BOS,) * (self.lm.order - 1)
-        return RefState(src=tuple(source), i=0, mode="out", ctx=ctx)
+        return RefState(src=tuple(source), i=0, mode="plain", ctx=ctx)
 
     def _push_ctx(self, ctx: tuple[str, ...], token: str) -> tuple[str, ...]:
         if self.lm.order <= 1:
@@ -282,7 +282,7 @@ class RefScorer:
         w: dict[str, float] = {}
         if state.done:
             w[EOS] = 1.0
-        elif state.mode in ("out", "postdel"):
+        elif state.mode == "plain":
             src, i = state.src, state.i
             if i < len(src):
                 w[src[i]] = self.copy_weight * self.lm.prob(src[i], state.ctx)
@@ -300,7 +300,7 @@ class RefScorer:
             if ins_tab:
                 mass = sum(ins_tab.values())
                 w[INS_OPEN] = self.edit_weight * self._saturate(mass)
-            if state.mode == "postdel" and state.del_phrase in self.lexicon.replacements:
+            if state.del_phrase in self.lexicon.replacements:
                 mass = sum(self.lexicon.replacements[state.del_phrase].values())
                 w[INS_OPEN] = w.get(INS_OPEN, 0.0) + self.repl_open_weight * self._saturate(mass)
         elif state.mode == "del":
@@ -344,43 +344,35 @@ class RefScorer:
             return RefState(
                 src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key, True
             )
-        if mode in ("out", "postdel"):
-            if token == DEL_OPEN:
-                return RefState(src, i, "del", ctx, i, None, ins_prefix, repl_src, ins_key)
-            if token == INS_OPEN:
-                repl = None
-                if mode == "postdel" and del_phrase in self.lexicon.replacements:
-                    repl = del_phrase
+        if token in TAG_TOKENS:
+            nxt = NEXT_MODE.get((mode, token))
+            if nxt is None:  # illegal here, and ``dist`` gives it probability 0
+                return state
+            if nxt == "del":
+                return RefState(src, i, nxt, ctx, i, None, ins_prefix, repl_src, ins_key)
+            if nxt == "ins":
+                # right after a deletion with replacement evidence: a replacement
+                repl = del_phrase if del_phrase in self.lexicon.replacements else None
                 key = src[i - 1] if i > 0 else BOS
-                return RefState(src, i, "ins", ctx, del_start, None, (), repl, key)
-            if token in (DEL_CLOSE, INS_CLOSE):
-                return RefState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
-            if i < len(src):
-                i += 1
-            ctx = self._push_ctx(ctx, token)
-            return RefState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
-        if mode == "del":
-            if token == DEL_CLOSE:
+                return RefState(src, i, nxt, ctx, del_start, None, (), repl, key)
+            if mode == "del":  # remember the deleted phrase for a replacement
                 phrase = tuple(src[del_start:i])
                 return RefState(
-                    src, i, "postdel", ctx, del_start, phrase, ins_prefix, repl_src, ins_key
+                    src, i, nxt, ctx, del_start, phrase, ins_prefix, repl_src, ins_key
                 )
-            if token in (DEL_OPEN, INS_OPEN, INS_CLOSE):
-                return state
-            if i < len(src):
-                i += 1
+            return RefState(src, i, nxt, ctx, del_start, del_phrase, (), None, None)
+        if mode == "ins":
+            ctx = self._push_ctx(ctx, token)
             return RefState(
-                src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key
+                src, i, mode, ctx, del_start, del_phrase, ins_prefix + (token,), repl_src, ins_key
             )
-        # ins
-        if token == INS_CLOSE:
-            return RefState(src, i, "out", ctx, del_start, del_phrase, (), None, None)
-        if token in (DEL_OPEN, DEL_CLOSE, INS_OPEN):
-            return state
+        # outside an insertion a word replays the next source token
+        if i < len(src):
+            i += 1
+        if mode == "del":
+            return RefState(src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key)
         ctx = self._push_ctx(ctx, token)
-        return RefState(
-            src, i, mode, ctx, del_start, del_phrase, ins_prefix + (token,), repl_src, ins_key
-        )
+        return RefState(src, i, mode, ctx, del_start, None, ins_prefix, repl_src, ins_key)
 
 
 def scorer(lexicon: ConfusionLexicon, lm: NGramLM, **weights: float) -> RefScorer:

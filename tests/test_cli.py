@@ -504,3 +504,63 @@ class TestAtomicWrites:
             Path(tmp).write_text("ok")
         assert Path("out.txt").read_text() == "ok"
         assert not os.path.exists("out.txt.part")
+
+
+class TestLineErrors:
+    """Each command names the file and line of a reserved token or a malformed span."""
+
+    def fails_with(self, capsys, argv: list[str], message: str) -> None:
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_decode_rejects_reserved_token_in_source(self, capsys, constrained):
+        model = train_model()
+        write("test.src", "teh cat sat\nhe <del> go home\n")
+        argv = ["decode", "--model", model, "--src", "test.src", "--out", "o.tag"]
+        self.fails_with(
+            capsys,
+            argv + ["--constrained"] * constrained,
+            "test.src:2: reserved token in source at position 1: '<del>'",
+        )
+        assert not Path("o.tag").exists()
+
+    @pytest.mark.parametrize("cmd", ["repair", "validate"])
+    def test_repair_and_validate_reject_reserved_token_in_source(self, capsys, cmd):
+        write("tagged.txt", "a b\na b\n")
+        write("s.txt", "a b\na </ins>\n")
+        self.fails_with(
+            capsys,
+            [cmd, "--in", "tagged.txt", "--src", "s.txt", "--out", "o.txt"],
+            "s.txt:2: reserved token in source at position 1: '</ins>'",
+        )
+        assert not Path("o.txt").exists()
+
+    def test_rerank_rejects_reserved_token_in_source(self, capsys):
+        write("kb.jsonl", '{"id": 0, "tokens": ["a"], "probs": [1.0], '
+              '"tag_probs": [[0, 0, 0, 0]], "eos": false}\n')
+        write("s.txt", "<dom:x> a\n")
+        self.fails_with(
+            capsys,
+            ["rerank", "--kbest", "kb.jsonl", "--src", "s.txt", "--out", "o.tag"],
+            "s.txt:1: reserved token in source at position 0: '<dom:x>'",
+        )
+
+    def test_strip_names_the_malformed_line(self, capsys):
+        write("d.txt", "a b\n<dom:x> a b c </del> d\n")
+        self.fails_with(
+            capsys,
+            ["strip", "--in", "d.txt", "--out", "o.txt"],
+            "d.txt:2: unmatched </del> at position 3",
+        )
+
+    @pytest.mark.parametrize("cmd", ["m2", "analyze"])
+    def test_scorers_reject_reserved_token_in_hypothesis(self, capsys, cmd):
+        write("hyp.txt", "the mouse sat\nthe <del> dog sat\n")
+        write("gold.m2", TEST_GOLD)
+        self.fails_with(
+            capsys,
+            [cmd, "--hyp", "hyp.txt", "--gold", "gold.m2"],
+            "hyp.txt:2: reserved token in hypothesis at position 1: '<del>'",
+        )

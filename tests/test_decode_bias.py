@@ -6,6 +6,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import pytest
 
@@ -30,11 +31,25 @@ from gecdiff.decode_bias import (
     rerank_kbest,
     write_kbest,
 )
-from gecdiff.diff_codec import encode_diffs, parse_spans, repair, strip_to_target, validate_tagged
+from gecdiff.diff_codec import (
+    NEXT_MODE,
+    encode_diffs,
+    parse_spans,
+    repair,
+    strip_to_target,
+    validate_tagged,
+)
 from gecdiff.edit_extract import edits_from_tagged
 from gecdiff.metrics import PRF, DEFAULT_BETA, GoldAnnotation, f_beta, m2_maxmatch
 from gecdiff.reference_scorer import harvest, scorer, train_lm
-from gecdiff.text_norm import DEL_CLOSE, DEL_OPEN, INS_CLOSE, INS_OPEN, TAG_TOKENS
+from gecdiff.text_norm import (
+    DEL_CLOSE,
+    DEL_OPEN,
+    INS_CLOSE,
+    INS_OPEN,
+    TAG_TOKENS,
+    is_reserved_token,
+)
 
 
 class CopyScorer:
@@ -413,12 +428,107 @@ class TestKBest:
 # ---------------------------------------------------------------------------
 # equivalence with the reference decoder
 
+_OUT, _DEL, _INS = 0, 1, 2
+
+
+class OracleAuto(NamedTuple):
+    """``_Auto`` as it was before the span grammar table, kept verbatim."""
+
+    mode: int = _OUT
+    consumed: int = 0
+    span_len: int = 0
+
+    def needed(self, source_len: int) -> int:
+        # steps still required to reach a valid end: close + copies + EOS
+        return (1 if self.mode != _OUT else 0) + (source_len - self.consumed) + 1
+
+    def advance(self, source, token: str) -> "OracleAuto":
+        if token == DEL_OPEN:
+            return OracleAuto(_DEL, self.consumed, 0)
+        if token == INS_OPEN:
+            return OracleAuto(_INS, self.consumed, 0)
+        if token in (DEL_CLOSE, INS_CLOSE):
+            return OracleAuto(_OUT, self.consumed, 0)
+        if self.mode == _INS:
+            return OracleAuto(_INS, self.consumed, self.span_len + 1)
+        return OracleAuto(self.mode, self.consumed + 1, self.span_len + 1)
+
+    def allowed(self, source, dist: dict[str, float], budget: int) -> set[str]:
+        """Grammar-legal tokens that keep a valid completion reachable.
+
+        ``budget`` is the number of steps remaining including this one.
+        """
+        need = self.needed(len(source))
+        moves: set[str] = set()
+        remaining = len(source) - self.consumed
+        if self.mode == _OUT:
+            if remaining:
+                if budget - 1 >= need - 1:
+                    moves.add(source[self.consumed])
+                if budget - 1 >= need + 1:
+                    moves.add(DEL_OPEN)
+            if budget - 1 >= need + 2:
+                moves.add(INS_OPEN)
+            if remaining == 0:
+                moves.add(EOS)
+        elif self.mode == _DEL:
+            if remaining and budget - 1 >= need - 1:
+                moves.add(source[self.consumed])
+            if self.span_len and budget - 1 >= need - 1:
+                moves.add(DEL_CLOSE)
+        else:  # _INS
+            if self.span_len and budget - 1 >= need - 1:
+                moves.add(INS_CLOSE)
+            if budget - 1 >= need:
+                for tok in dist:
+                    if tok != EOS and not is_reserved_token(tok):
+                        moves.add(tok)
+        return moves
+
+
+def canon_auto(oracle: OracleAuto) -> _Auto:
+    """The ``_Auto`` an ``OracleAuto`` stands for: its int mode as a grammar mode."""
+    return _Auto(("plain", "del", "ins")[oracle.mode], oracle.consumed, oracle.span_len)
+
+
+def test_auto_matches_oracle_on_walks_over_its_mask():
+    # Seeded walks over the mask, from the start state with every budget a
+    # constrained decode accepts: the masks agree at every state, and so
+    # does every advance except on a tag the grammar rejects in that mode,
+    # which leaves the automaton as it is (the oracle moved to the tag's
+    # mode).  The mask never offers such a tag, so decodes are unchanged.
+    rng = random.Random(4)
+    extra = ("zz", "<dom:x>", EOS, *TAG_TOKENS)
+    for n in range(400):
+        source = [rng.choice("abc") for _ in range(rng.randint(1, 5))]
+        if n % 2:
+            source = tuple(source)
+        dist = dict.fromkeys((*source, "zz", "yy", *TAG_TOKENS, EOS), 0.1)
+        max_len = rng.randint(len(source) + 1, 2 * len(source) + 10)
+        auto, oracle = _Auto(), OracleAuto()
+        for step_no in range(max_len):
+            assert auto == canon_auto(oracle)
+            mask = auto.allowed(source, dist, max_len - step_no)
+            assert mask == oracle.allowed(source, dist, max_len - step_no)
+            for tok in (*source, *extra):
+                if tok in TAG_TOKENS and (auto.mode, tok) not in NEXT_MODE:
+                    assert tok not in mask
+                    assert auto.advance(source, tok) is auto
+                else:
+                    assert auto.advance(source, tok) == canon_auto(oracle.advance(source, tok))
+            if not mask:
+                break
+            tok = rng.choice(sorted(mask))
+            if tok == EOS:
+                break
+            auto, oracle = auto.advance(source, tok), oracle.advance(source, tok)
+
 
 @dataclass(frozen=True)
 class _Beam:
     raw: tuple[str, ...]
     state: object
-    auto: _Auto
+    auto: OracleAuto
     selection: float
     score: float
     logps: tuple[float, ...]
@@ -439,7 +549,7 @@ def oracle_beam_decode(scorer, source, cfg):
         )
     offsets = cfg.bias.as_map() if cfg.bias is not None else None
 
-    live = [_Beam((), scorer.start(source), _Auto(), 0.0, 0.0, (), ())]
+    live = [_Beam((), scorer.start(source), OracleAuto(), 0.0, 0.0, (), ())]
     done: list[_Beam] = []
     for step_no in range(max_len):
         budget = max_len - step_no

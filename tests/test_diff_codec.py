@@ -376,6 +376,61 @@ def oracle_parse_spans(tagged):
     return segments
 
 
+def oracle_repair(tagged, source):
+    """``repair`` as it was before the span grammar table, kept verbatim."""
+    out = []
+    mode = "plain"
+    ptr = 0
+
+    def close_open_span():
+        nonlocal mode
+        if mode == "del":
+            out.append(DEL_CLOSE)
+        elif mode == "ins":
+            out.append(INS_CLOSE)
+        mode = "plain"
+
+    for i, tok in enumerate(tagged):
+        if is_domain_token(tok):
+            if i == 0:
+                out.append(tok)
+            continue
+        if tok in (DEL_OPEN, INS_OPEN):
+            want = "del" if tok == DEL_OPEN else "ins"
+            if mode == want:
+                continue  # redundant reopen
+            close_open_span()
+            out.append(tok)
+            mode = want
+            continue
+        if tok in (DEL_CLOSE, INS_CLOSE):
+            want = "del" if tok == DEL_CLOSE else "ins"
+            if mode == want:
+                out.append(tok)
+                mode = "plain"
+            continue  # unmatched closer dropped
+        if mode == "ins":
+            out.append(tok)
+            continue
+        # plain or del: consume source in order
+        if ptr < len(source):
+            out.append(source[ptr])
+            ptr += 1
+        # surplus beyond source length dropped
+    close_open_span()
+    if ptr < len(source):
+        out.extend(source[ptr:])
+    return out
+
+
+def oracle_strip(tagged, keep):
+    out = []
+    for kind, tokens in oracle_parse_spans(tagged):
+        if kind in ("plain", keep):
+            out.extend(tokens)
+    return out
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -430,3 +485,34 @@ def test_parse_spans_matches_oracle_on_seeded_fuzz():
     for tagged in cases:
         for seq in (tagged, tuple(tagged)):
             assert outcome(parse_spans, seq) == outcome(oracle_parse_spans, seq), seq
+
+
+def test_grammar_consumers_match_oracles_with_every_reserved_token_everywhere():
+    # Each reserved token at each position of valid encodings, alone and
+    # after a second random fault, as a list and as a tuple: parse errors,
+    # segments, strips, violations and repairs all match the hand-written
+    # ladders the grammar table replaced.
+    rng = random.Random(10)
+    words = ["a", "b", "c", "d"]
+    cases = []
+    for _ in range(150):
+        source = [rng.choice(words) for _ in range(rng.randint(0, 6))]
+        target = [rng.choice(words) for _ in range(rng.randint(0, 6))]
+        base = encode_diffs(source, target)
+        if rng.random() < 0.5:  # a second fault anywhere
+            base.insert(rng.randint(0, len(base)), rng.choice(RESERVED + words))
+        for tok in RESERVED:
+            for pos in range(len(base) + 1):
+                cases.append((base[:pos] + [tok] + base[pos:], source))
+    for tagged, source in cases:
+        want_spans = outcome(oracle_parse_spans, tagged)
+        want_target = outcome(oracle_strip, tagged, "ins")
+        want_source = outcome(oracle_strip, tagged, "del")
+        want_report = oracle_validate_tagged(tagged, source)
+        want_repair = oracle_repair(tagged, source)
+        for seq, src in ((tagged, source), (tuple(tagged), tuple(source))):
+            assert outcome(parse_spans, seq) == want_spans, seq
+            assert outcome(strip_to_target, seq) == want_target, seq
+            assert outcome(strip_to_source, seq) == want_source, seq
+            assert validate_tagged(seq, src) == want_report, seq
+            assert repair(seq, src) == want_repair, seq

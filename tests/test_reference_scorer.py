@@ -8,20 +8,22 @@ from collections import Counter
 import pytest
 
 from gecdiff.decode_bias import EOS, BiasVector, DecodeConfig, beam_decode
-from gecdiff.diff_codec import strip_to_target
+from gecdiff.diff_codec import NEXT_MODE, strip_to_target
 from gecdiff.reference_scorer import (
     BOS,
+    MAX_PHRASE,
     UNK,
     ConfusionLexicon,
     NGramLM,
     RefScorer,
+    RefState,
     harvest,
     load_model,
     save_model,
     scorer,
     train_lm,
 )
-from gecdiff.text_norm import DEL_OPEN, INS_OPEN, TAG_TOKENS
+from gecdiff.text_norm import DEL_CLOSE, DEL_OPEN, INS_CLOSE, INS_OPEN, TAG_TOKENS
 
 TEH_PAIRS = [
     (["teh", "cat", "sat"], ["the", "cat", "sat"]),
@@ -283,6 +285,178 @@ class TestModelFiles:
 
 
 # ---------------------------------------------------------------------------
+# RefScorer.dist and RefScorer.step as they were before the span grammar
+# table, kept verbatim as oracles (``self`` is a RefScorer).  Their modes are
+# out, del, postdel and ins; the scorer's are the grammar's plain, del and
+# ins, with postdel a plain state that remembers the deleted phrase.
+
+
+def oracle_dist(self, state):
+    w = {}
+    if state.done:
+        w[EOS] = 1.0
+    elif state.mode in ("out", "postdel"):
+        src, i = state.src, state.i
+        if i < len(src):
+            w[src[i]] = self.copy_weight * self.lm.prob(src[i], state.ctx)
+            mass = 0.0
+            for k in range(1, MAX_PHRASE + 1):
+                if i + k > len(src):
+                    break
+                mass += self.del_mass.get(tuple(src[i : i + k]), 0.0)
+            if mass > 0.0:
+                w[DEL_OPEN] = self.edit_weight * self._saturate(mass)
+        else:
+            w[EOS] = self.copy_weight * self.lm.prob(EOS, state.ctx)
+        key = src[i - 1] if i > 0 else BOS
+        ins_tab = self.lexicon.insertions.get(key)
+        if ins_tab:
+            mass = sum(ins_tab.values())
+            w[INS_OPEN] = self.edit_weight * self._saturate(mass)
+        if state.mode == "postdel" and state.del_phrase in self.lexicon.replacements:
+            mass = sum(self.lexicon.replacements[state.del_phrase].values())
+            w[INS_OPEN] = w.get(INS_OPEN, 0.0) + self.repl_open_weight * self._saturate(mass)
+    elif state.mode == "del":
+        src, i = state.src, state.i
+        cur = tuple(src[state.del_start : i])
+        if i < len(src) and len(cur) < MAX_PHRASE:
+            ext = self.prefix_mass.get(cur + (src[i],), 0.0)
+            if ext > 0.0:
+                w[src[i]] = ext
+        close = self.del_mass.get(cur, 0.0)
+        if close > 0.0:
+            w[DEL_CLOSE] = self.close_weight * close
+        if not w:  # off-lexicon state: only closing remains
+            w[DEL_CLOSE] = 1.0
+    else:  # ins
+        table = self._ins_table(state)
+        prefix = state.ins_prefix
+        if table:
+            for phrase, count in table.items():
+                if len(phrase) > len(prefix) and phrase[: len(prefix)] == prefix:
+                    tok = phrase[len(prefix)]
+                    w[tok] = w.get(tok, 0.0) + count * self.lm.prob(tok, state.ctx)
+            if prefix and table.get(prefix):
+                w[INS_CLOSE] = self.close_weight * table[prefix]
+        if not w:
+            w[INS_CLOSE] = 1.0
+    total = sum(w.values())
+    assert total > 0.0, "scorer state with no positive continuation"
+    dist = {tok: v / total for tok, v in sorted(w.items())}
+    for tok in TAG_TOKENS:
+        dist.setdefault(tok, 0.0)
+    dist.setdefault(EOS, 0.0)
+    return dist
+
+
+def oracle_step(self, state, token):
+    # states are built positionally: this runs once per beam survivor
+    src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key, done = state
+    if done:
+        return state
+    if token == EOS:
+        return RefState(
+            src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key, True
+        )
+    if mode in ("out", "postdel"):
+        if token == DEL_OPEN:
+            return RefState(src, i, "del", ctx, i, None, ins_prefix, repl_src, ins_key)
+        if token == INS_OPEN:
+            repl = None
+            if mode == "postdel" and del_phrase in self.lexicon.replacements:
+                repl = del_phrase
+            key = src[i - 1] if i > 0 else BOS
+            return RefState(src, i, "ins", ctx, del_start, None, (), repl, key)
+        if token in (DEL_CLOSE, INS_CLOSE):
+            return RefState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
+        if i < len(src):
+            i += 1
+        ctx = self._push_ctx(ctx, token)
+        return RefState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
+    if mode == "del":
+        if token == DEL_CLOSE:
+            phrase = tuple(src[del_start:i])
+            return RefState(
+                src, i, "postdel", ctx, del_start, phrase, ins_prefix, repl_src, ins_key
+            )
+        if token in (DEL_OPEN, INS_OPEN, INS_CLOSE):
+            return state
+        if i < len(src):
+            i += 1
+        return RefState(
+            src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key
+        )
+    # ins
+    if token == INS_CLOSE:
+        return RefState(src, i, "out", ctx, del_start, del_phrase, (), None, None)
+    if token in (DEL_OPEN, DEL_CLOSE, INS_OPEN):
+        return state
+    ctx = self._push_ctx(ctx, token)
+    return RefState(
+        src, i, mode, ctx, del_start, del_phrase, ins_prefix + (token,), repl_src, ins_key
+    )
+
+
+def canon_state(old):
+    """The scorer state an oracle state stands for."""
+    return old._replace(mode="plain") if old.mode in ("out", "postdel") else old
+
+
+def edit_corpus(rng: random.Random) -> list:
+    """Seeded pairs with one- to four-word replacements, deletions and insertions."""
+    words = [f"w{i}" for i in range(8)]
+    pairs = []
+    for _ in range(80):
+        target = [rng.choice(words) for _ in range(rng.randint(2, 7))]
+        source = list(target)
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randint(0, len(source))
+            cut = rng.randint(0, min(4, len(source) - at))
+            new = [rng.choice(["x", "y", "the"]) for _ in range(rng.randint(0, 4))]
+            source[at : at + cut] = new
+        if source:
+            pairs.append((source, target))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dist_and_step_match_oracle_on_random_walks(seed):
+    # Walks over positive-probability moves, and now and then a legal move
+    # of probability 0 as a constrained decode may force.  At every state
+    # both give the same distribution, and every move but one agrees.  A tag
+    # the grammar rejects in the current mode has probability 0 and leaves
+    # the state as it is; the oracle did the same except in its out and
+    # postdel modes, where it returned an out state.
+    rng = random.Random(seed)
+    pairs = edit_corpus(rng)
+    sc = scorer(harvest(pairs), train_lm([t for _, t in pairs]))
+    words = sorted({w for s, t in pairs for w in s + t})
+    for n in range(150):
+        source = rng.choice(pairs)[0]
+        new = sc.start(source if n % 2 else tuple(source))
+        old = RefState(src=tuple(source), i=0, mode="out", ctx=(BOS,) * (sc.lm.order - 1))
+        for _ in range(3 * len(source) + 10):
+            assert canon_state(old) == new
+            dist = sc.dist(new)
+            assert list(dist.items()) == list(oracle_dist(sc, old).items())
+            legal = []
+            for tok in (*TAG_TOKENS, EOS, *source, *rng.sample(words, 3)):
+                if tok in TAG_TOKENS and (new.mode, tok) not in NEXT_MODE:
+                    assert dist[tok] == 0.0
+                    assert sc.step(new, tok) is new
+                    want = new._replace(del_phrase=None) if new.mode == "plain" else new
+                    assert canon_state(oracle_step(sc, old, tok)) == want
+                else:
+                    assert sc.step(new, tok) == canon_state(oracle_step(sc, old, tok))
+                    legal.append(tok)
+            positive = [t for t, p in dist.items() if p > 0.0]
+            tok = rng.choice(legal if rng.random() < 0.1 else positive)
+            new, old = sc.step(new, tok), oracle_step(sc, old, tok)
+            if tok == EOS:
+                assert new.done and sc.step(new, "w0") is new
+                break
+
+
 # train_lm as it was before it counted n-grams per order (one setdefault per
 # token per order), kept verbatim as the oracle.
 
