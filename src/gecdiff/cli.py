@@ -2,8 +2,9 @@
 
 Every run writes a manifest (subcommand, resolved config, paths, seed,
 version) next to its primary output, or next to its first input when it
-writes no file, so experiments can be replayed.  Output files are written
-atomically; a failed run leaves no partial files behind.
+writes no file, so experiments can be replayed.  Handlers read and write
+files only through the library, whose writers are all atomic
+(``corpus_io.atomic_write``): a failed run leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
@@ -35,6 +34,8 @@ from .corpus_io import (
     read_lines,
     read_token_lines,
     write_parallel,
+    write_text,
+    write_token_lines,
 )
 from .decode_bias import (
     BiasVector,
@@ -81,31 +82,8 @@ class RunManifest:
     version: str
 
 
-@contextmanager
-def _atomic(path: str):
-    """Yield a temp path; move it into place on success, drop it on failure."""
-    tmp = path + ".part"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_text(path: str, text: str) -> None:
-    with _atomic(path) as tmp:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _write_lines(path: str, seqs: list[TokenSeq]) -> None:
-    _write_text(path, "".join(" ".join(seq) + "\n" for seq in seqs))
-
-
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _pct(x: float) -> str:
@@ -139,7 +117,7 @@ def _read_untagged(path: str, what: str, allow_empty: bool = True) -> list[Token
 
 def _cmd_tokenize(args):
     lines = read_lines(args.infile)
-    _write_lines(args.out, [tokenize(line) for line in lines])
+    write_token_lines(args.out, [tokenize(line) for line in lines])
     return [args.infile], [args.out], None
 
 
@@ -151,7 +129,7 @@ def _cmd_diff(args):
         if p.domain is not None:
             tagged = prepend_domain(tagged, p.domain)
         out.append(tagged)
-    _write_lines(args.out, out)
+    write_token_lines(args.out, out)
     inputs = [args.src, args.tgt] + ([args.domain] if args.domain else [])
     return inputs, [args.out], None
 
@@ -165,7 +143,7 @@ def _cmd_strip(args):
             out.append(strip(body))
         except MalformedTagsError as exc:
             raise ValueError(f"{args.infile}:{n}: {exc}") from None
-    _write_lines(args.out, out)
+    write_token_lines(args.out, out)
     return [args.infile], [args.out], None
 
 
@@ -173,7 +151,7 @@ def _cmd_repair(args):
     tagged_lines = read_token_lines(args.infile)
     sources = _read_untagged(args.src, "source")
     _check_same_length(args.infile, tagged_lines, args.src, sources)
-    _write_lines(args.out, [repair(t, s) for t, s in zip(tagged_lines, sources)])
+    write_token_lines(args.out, [repair(t, s) for t, s in zip(tagged_lines, sources)])
     return [args.infile, args.src], [args.out], None
 
 
@@ -197,7 +175,7 @@ def _cmd_validate(args):
     print(f"{valid}/{len(records)} lines valid")
     outputs = []
     if args.out:
-        _write_text(args.out, "".join(json.dumps(r) + "\n" for r in records))
+        write_text(args.out, "".join(json.dumps(r) + "\n" for r in records))
         outputs.append(args.out)
     return [args.infile, args.src], outputs, None
 
@@ -212,12 +190,7 @@ def _cmd_filter(args):
             raise ValueError("--rules only applies to the lang8 preset")
         src_max, tgt_max, tagged, view = PRESETS[args.preset]
         kept, report = length_filter(pairs, src_max, tgt_max, tagged, view)
-    with _atomic(args.out_src) as tmp_src, _atomic(args.out_tgt) as tmp_tgt:
-        if args.out_domain:
-            with _atomic(args.out_domain) as tmp_dom:
-                write_parallel(tmp_src, tmp_tgt, kept, tmp_dom)
-        else:
-            write_parallel(tmp_src, tmp_tgt, kept)
+    write_parallel(args.out_src, args.out_tgt, kept, args.out_domain or None)
     print(f"kept {report.retained}/{report.input}")
     for rule, count in report.drops.items():
         if count:
@@ -259,8 +232,7 @@ def _cmd_train_ref(args):
     lm = train_lm(
         [t for _, t in corpus], args.order, args.interp, args.unk_mass
     )
-    with _atomic(args.model) as tmp:
-        save_model(tmp, lexicon, lm)
+    save_model(args.model, lexicon, lm)
     print(
         f"lexicon: {len(lexicon.replacements)} replacement keys, "
         f"{len(lexicon.deletions)} deletion keys, "
@@ -302,10 +274,10 @@ def _cmd_decode(args):
         _decode_init(args.model, cfg)
         results = [_decode_one(item) for item in items]
     all_hyps = [hyps for _, hyps in sorted(results)]
-    _write_lines(args.out, [list(hyps[0].tagged) for hyps in all_hyps])
+    write_token_lines(args.out, [list(hyps[0].tagged) for hyps in all_hyps])
     outputs = [args.out]
     if args.target_out:
-        _write_lines(
+        write_token_lines(
             args.target_out, [strip_to_target(list(h[0].tagged)) for h in all_hyps]
         )
         outputs.append(args.target_out)
@@ -316,8 +288,7 @@ def _cmd_decode(args):
             for sid, hyps in enumerate(all_hyps)
             for hyp in hyps[:k]
         ]
-        with _atomic(args.kbest) as tmp:
-            write_kbest(records, tmp)
+        write_kbest(records, args.kbest)
         outputs.append(args.kbest)
     return [args.model, args.src], outputs, None
 
@@ -374,14 +345,14 @@ def _cmd_tune(args):
 
 
 def _cmd_gleu(args):
-    hyps = read_token_lines(args.hyp)
-    srcs = read_token_lines(args.src)
-    refs = read_token_lines(args.ref)
+    hyps = _read_untagged(args.hyp, "hypothesis")
+    srcs = _read_untagged(args.src, "source")
+    refs = _read_untagged(args.ref, "reference")
     report = gleu(hyps, srcs, refs, order=args.order)
     print(f"GLEU {_pct(report.corpus)}")
     outputs = []
     if args.sentence_out:
-        _write_text(args.sentence_out, "".join(f"{s:.6f}\n" for s in report.sentences))
+        write_text(args.sentence_out, "".join(f"{s:.6f}\n" for s in report.sentences))
         outputs.append(args.sentence_out)
     if args.json:
         _write_json(
@@ -417,15 +388,15 @@ def _cmd_m2(args):
 
 
 def _cmd_bootstrap(args):
-    hyps_a = read_token_lines(args.hyp_a)
-    hyps_b = read_token_lines(args.hyp_b)
+    hyps_a = _read_untagged(args.hyp_a, "hypothesis")
+    hyps_b = _read_untagged(args.hyp_b, "hypothesis")
     _check_same_length(args.hyp_a, hyps_a, args.hyp_b, hyps_b)
     inputs = [args.hyp_a, args.hyp_b]
     if args.metric == "gleu":
         if not (args.src and args.ref):
             raise ValueError("gleu bootstrap needs --src and --ref")
-        srcs = read_token_lines(args.src)
-        refs = read_token_lines(args.ref)
+        srcs = _read_untagged(args.src, "source")
+        refs = _read_untagged(args.ref, "reference")
         _check_same_length(args.hyp_a, hyps_a, args.src, srcs)
         _check_same_length(args.hyp_a, hyps_a, args.ref, refs)
         stats_a = [
@@ -541,11 +512,10 @@ def _cmd_rerank(args):
             )
         lines = [repair(best[sid], s) for sid, s in enumerate(sources)]
         inputs.append(args.src)
-    _write_lines(args.out, lines)
+    write_token_lines(args.out, lines)
     outputs = [args.out]
     if args.kbest_out:
-        with _atomic(args.kbest_out) as tmp:
-            write_kbest(reranked, tmp)
+        write_kbest(reranked, args.kbest_out)
         outputs.append(args.kbest_out)
     return inputs, outputs, None
 

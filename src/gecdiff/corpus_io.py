@@ -1,4 +1,8 @@
-"""Corpus loading, cleanup filters, and on-disk formats.
+"""Corpus loading, cleanup filters, and the file layer under every format.
+
+Every gecdiff file is read and written here.  A byte that does not decode
+fails with ``<file>:<line>: not valid UTF-8``; every writer goes through
+``atomic_write``, so a failed write leaves its destinations as they were.
 
 Parallel text is one sentence per line; loading tokenizes both sides.
 Cleanup rules (length caps, noisy-pair drops) are pure functions returning
@@ -9,8 +13,11 @@ files use the M2 convention: an S line with the source tokens, then A lines
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
 from .edit_extract import Edit, edits_from_tagged
 from .diff_codec import encode_diffs, parse_spans
@@ -43,15 +50,54 @@ class FilterReport:
             raise ValueError("filter report counts do not reconcile")
 
 
-def read_lines(path: str) -> list[str]:
+@contextmanager
+def atomic_write(*paths: str) -> Iterator[list[TextIO]]:
+    """Yield a UTF-8 handle on ``<path>.part`` per path; move all into place
+    if the block returns, remove all and touch no destination if it raises."""
+    parts = [path + ".part" for path in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(part, "w", encoding="utf-8")) for part in parts]
+        for part, path in zip(parts, paths):
+            os.replace(part, path)
+    except BaseException:
+        for part in parts:
+            if os.path.exists(part):
+                os.unlink(part)
+        raise
+
+
+def write_text(path: str, text: str) -> None:
+    with atomic_write(path) as (fh,):
+        fh.write(text)
+
+
+@contextmanager
+def _utf8_reader(path: str) -> Iterator[TextIO]:
     try:
         with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
+            yield fh
     except UnicodeDecodeError:
-        raise not_utf8(path) from None
+        raise _not_utf8(path) from None
 
 
-def not_utf8(path: str) -> ValueError:
+def iter_lines(path: str) -> Iterator[str]:
+    """Stream the lines of a UTF-8 file, without their line ends."""
+    with _utf8_reader(path) as fh:
+        for line in fh:
+            yield line.rstrip("\n")
+
+
+def read_lines(path: str) -> list[str]:
+    return list(iter_lines(path))
+
+
+def read_text(path: str) -> str:
+    with _utf8_reader(path) as fh:
+        return fh.read()
+
+
+def _not_utf8(path: str) -> ValueError:
     """The error for a file that does not decode, naming its first bad line."""
     # undecodable bytes come back as lone surrogates, which cannot be encoded
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -101,26 +147,24 @@ def write_parallel(
     pairs: list[SentencePair],
     dom_path: str | None = None,
 ) -> None:
-    with open(src_path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(" ".join(p.source) + "\n")
-    with open(tgt_path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(" ".join(p.target) + "\n")
-    if dom_path is not None:
-        with open(dom_path, "w", encoding="utf-8") as fh:
-            for n, p in enumerate(pairs, 1):
+    """Write the sides (and domain labels) of ``pairs``: all files or none."""
+    paths = [src_path, tgt_path] + ([dom_path] if dom_path is not None else [])
+    with atomic_write(*paths) as handles:
+        for n, p in enumerate(pairs, 1):
+            handles[0].write(" ".join(p.source) + "\n")
+            handles[1].write(" ".join(p.target) + "\n")
+            if dom_path is not None:
                 if p.domain is None:
                     raise ValueError(f"pair {n} has no domain label")
-                fh.write(p.domain + "\n")
+                handles[2].write(p.domain + "\n")
 
 
 def read_token_lines(path: str) -> list[TokenSeq]:
-    return [line.split() for line in read_lines(path)]
+    return [line.split() for line in iter_lines(path)]
 
 
 def write_token_lines(path: str, seqs: list[TokenSeq]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as (fh,):
         for seq in seqs:
             fh.write(" ".join(seq) + "\n")
 
@@ -358,8 +402,7 @@ def write_m2_gold(path: str, annotations: list[GoldAnnotation]) -> None:
                     f"A {e.start} {e.end}|||UNK|||{repl}|||REQUIRED|||-NONE-|||{annotator}"
                 )
         lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    write_text(path, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .corpus_io import not_utf8
+from .corpus_io import atomic_write, iter_lines
 from .diff_codec import NEXT_MODE, TAG_MOVES, repair, strip_to_target
 from .metrics import PRF, DEFAULT_BETA, GoldAnnotation, m2_maxmatch
 from .text_norm import (
@@ -32,6 +32,7 @@ from .text_norm import (
     INS_OPEN,
     TAG_TOKENS,
     TokenSeq,
+    find_reserved,
     is_reserved_token,
 )
 
@@ -250,10 +251,14 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     distribution, tag probabilities and ranked positive-probability moves
     are kept in a dict that is dropped when the call returns.  At beam 1
     the search is a greedy walk (``_greedy_decode``) that keeps only each
-    state's best move; it returns exactly what the beam loop would.
+    state's best move; it returns exactly what the beam loop would.  A
+    source holding a tag or domain token raises ``ValueError``.
     """
     if not source:
         raise ValueError("source must be nonempty")
+    i = find_reserved(source)
+    if i >= 0:
+        raise ValueError(f"reserved token in source at position {i}: {source[i]!r}")
     max_len = cfg.max_len if cfg.max_len is not None else 2 * len(source) + 10
     constrained = cfg.constrained
     if constrained and max_len < len(source) + 1:
@@ -559,7 +564,7 @@ def record_from_hypothesis(sid: int, hyp: Hypothesis) -> KBestRecord:
 
 
 def write_kbest(records: Iterable[KBestRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as (fh,):
         for rec in records:
             obj = {
                 "id": rec.sid,
@@ -578,15 +583,8 @@ def read_kbest(path: str) -> list[KBestRecord]:
     of strings, each ``tag_probs`` entry four values, and every probability a
     number in [0, 1].
     """
-    records: list[KBestRecord] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.strip():
-                    records.append(_kbest_record(line, path, lineno))
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-    return records
+    lines = enumerate(iter_lines(path), 1)
+    return [_kbest_record(line, path, n) for n, line in lines if line.strip()]
 
 
 def _kbest_record(line: str, path: str, lineno: int) -> KBestRecord:

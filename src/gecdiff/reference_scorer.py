@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .corpus_io import not_utf8
+from .corpus_io import read_text, write_text
 from .decode_bias import EOS
 from .diff_codec import NEXT_MODE, encode_diffs
 from .edit_extract import edits_from_tagged
@@ -420,10 +419,7 @@ def save_model(path: str, lexicon: ConfusionLexicon, lm: NGramLM) -> None:
             ],
         },
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, ensure_ascii=False) + "\n")  # C encoder, same bytes
-    os.replace(tmp, path)
+    write_text(path, json.dumps(obj, ensure_ascii=False) + "\n")  # C encoder, same bytes
 
 
 def _check_schema(obj, path: str) -> None:
@@ -468,10 +464,7 @@ def _check_schema(obj, path: str) -> None:
 
 def load_model(path: str) -> tuple[ConfusionLexicon, NGramLM]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+        obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}:{exc.lineno}: not valid JSON: {exc.msg} at column {exc.colno}"

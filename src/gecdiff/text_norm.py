@@ -17,7 +17,6 @@ structural meaning.
 from __future__ import annotations
 
 import re
-from operator import methodcaller
 
 TokenSeq = list[str]
 
@@ -57,13 +56,11 @@ def is_reserved_token(token: str) -> bool:
     return token in _TAG_SET or is_domain_token(token)
 
 
-_starts_domain = methodcaller("startswith", "<dom:")
-
-
 def find_reserved(tokens: TokenSeq) -> int:
     """Position of the first reserved token in ``tokens``, or -1 if none is."""
-    # C-level scans first: only a tag or a "<dom:"-prefixed token can be reserved
-    if _TAG_SET.isdisjoint(tokens) and not any(map(_starts_domain, tokens)):
+    # C-level scans first: only a tag or a "<dom:"-prefixed token can be
+    # reserved, and such a token puts "<dom:" into the joined text
+    if _TAG_SET.isdisjoint(tokens) and "<dom:" not in " ".join(tokens):
         return -1
     return next((i for i, tok in enumerate(tokens) if is_reserved_token(tok)), -1)
 

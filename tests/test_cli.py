@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from gecdiff.cli import _atomic, main
+from gecdiff.cli import main
+from gecdiff.corpus_io import atomic_write
 
 
 @pytest.fixture(autouse=True)
@@ -493,15 +494,15 @@ class TestAnalyze:
 class TestAtomicWrites:
     def test_failure_leaves_no_files(self):
         with pytest.raises(RuntimeError):
-            with _atomic("out.txt") as tmp:
-                Path(tmp).write_text("partial")
+            with atomic_write("out.txt") as (fh,):
+                fh.write("partial")
                 raise RuntimeError("boom")
         assert not os.path.exists("out.txt")
         assert not os.path.exists("out.txt.part")
 
     def test_success_moves_into_place(self):
-        with _atomic("out.txt") as tmp:
-            Path(tmp).write_text("ok")
+        with atomic_write("out.txt") as (fh,):
+            fh.write("ok")
         assert Path("out.txt").read_text() == "ok"
         assert not os.path.exists("out.txt.part")
 
@@ -564,3 +565,50 @@ class TestLineErrors:
             [cmd, "--hyp", "hyp.txt", "--gold", "gold.m2"],
             "hyp.txt:2: reserved token in hypothesis at position 1: '<del>'",
         )
+
+    @pytest.mark.parametrize(
+        "flag, what", [("--hyp", "hypothesis"), ("--src", "source"), ("--ref", "reference")]
+    )
+    def test_gleu_rejects_tagged_input(self, capsys, flag, what):
+        # scored as words, a tagged hypothesis would print GLEU 0.00 and exit 0
+        files = {"--hyp": "hyp.txt", "--src": "src.txt", "--ref": "ref.txt"}
+        for name in files.values():
+            write(name, "the cat\n")
+        write(files[flag], "the <del> cat </del>\n")
+        argv = ["gleu"] + [x for kv in files.items() for x in kv]
+        self.fails_with(
+            capsys, argv, f"{files[flag]}:1: reserved token in {what} at position 1: '<del>'"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, what",
+        [
+            ("--hyp-a", "hypothesis"),
+            ("--hyp-b", "hypothesis"),
+            ("--src", "source"),
+            ("--ref", "reference"),
+        ],
+    )
+    def test_bootstrap_rejects_tagged_input(self, capsys, flag, what):
+        # scored as words, a tagged system A was reported significantly better
+        files = {"--hyp-a": "a.txt", "--hyp-b": "b.txt", "--src": "src.txt", "--ref": "ref.txt"}
+        for name in files.values():
+            write(name, "the cat\n")
+        write(files[flag], "the <del> cat </del>\n")
+        argv = ["bootstrap", "--json", "bs.json"] + [x for kv in files.items() for x in kv]
+        self.fails_with(
+            capsys, argv, f"{files[flag]}:1: reserved token in {what} at position 1: '<del>'"
+        )
+        assert not Path("bs.json").exists()
+
+
+def test_filter_out_domain_without_domain_writes_nothing(capsys):
+    write("s.txt", "A cat sat .\nA dog ran .\n")
+    write("t.txt", "A cat sat .\nA dog ran .\n")
+    argv = [
+        "filter", "--src", "s.txt", "--tgt", "t.txt", "--preset", "conll",
+        "--out-src", "o.src", "--out-tgt", "o.tgt", "--out-domain", "o.dom",
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: pair 1 has no domain label\n"
+    assert sorted(os.listdir()) == ["s.txt", "t.txt"]

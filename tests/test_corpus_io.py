@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from gecdiff.corpus_io import (
@@ -10,16 +13,20 @@ from gecdiff.corpus_io import (
     SentencePair,
     corpus_stats,
     filter_lang8,
+    iter_lines,
     length_filter,
     load_m2_gold,
     load_parallel,
+    read_lines,
     read_token_lines,
     write_m2_gold,
     write_parallel,
     write_token_lines,
 )
+from gecdiff.decode_bias import KBestRecord, read_kbest, write_kbest
 from gecdiff.edit_extract import Edit
 from gecdiff.metrics import GoldAnnotation
+from gecdiff.reference_scorer import harvest, load_model, save_model, train_lm
 
 
 def pair(src, tgt, **kw):
@@ -389,3 +396,121 @@ class TestCorpusStats:
             "ends-in-paren",
             "no-terminal-punct",
         )
+
+
+# ---------------------------------------------------------------------------
+# the file layer
+
+
+def oracle_read_lines(path: str) -> list[str]:
+    """``read_lines`` as it was before it streamed, kept to pin its behaviour."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for n, line in enumerate(fh, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{n}: not valid UTF-8") from None
+        raise ValueError(f"{path}: not valid UTF-8") from None
+
+
+def outcome(read, path: str):
+    try:
+        return list(read(path))
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+LONG = b"".join(b"line %d\n" % n for n in range(1, 3001))  # many read chunks
+
+READER_CASES = {
+    "crlf": b"a b\r\nc\r\n\r\nd",
+    "lone-cr": b"a\rb\nc\r",
+    "no-final-newline": b"a\nb",
+    "empty": b"",
+    "blank-lines": b"\n\na\n \n\n",
+    "bad-byte-line-1": b"\xffa\nb\n",
+    "bad-byte-line-3": b"a\r\nb\r\nc \xfe d\r\ne\r\n",
+    "bad-byte-last-line": b"a\nb\n\xc3",
+    "bad-byte-line-2501": LONG.replace(b"line 2501\n", b"line \xff2501\n"),
+}
+
+
+@pytest.mark.parametrize("data", READER_CASES.values(), ids=READER_CASES.keys())
+def test_readers_match_the_list_reader_they_replace(tmp_path, data):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    want = outcome(oracle_read_lines, str(path))
+    assert outcome(read_lines, str(path)) == want
+    assert outcome(iter_lines, str(path)) == want
+    if b"\xff2501" in data:
+        assert want == f"error: {path}:2501: not valid UTF-8"
+
+
+KBEST_LINE = json.dumps(
+    {"id": 0, "tokens": ["a"], "probs": [0.5], "tag_probs": [[0, 0, 0, 0]], "eos": False}
+)
+TEH = [(["teh", "cat"], ["the", "cat"]), (["see", "teh"], ["see", "the"])]
+
+
+@pytest.mark.parametrize("k", [1, 3, 2501])
+def test_kbest_and_model_readers_name_the_bad_line(tmp_path, k):
+    kbest = tmp_path / "kb.jsonl"
+    lines = [KBEST_LINE] * 3000
+    lines[k - 1] = KBEST_LINE.replace('"a"', '"\udcff"')
+    kbest.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    model = tmp_path / "m.json"
+    save_model(str(model), harvest(TEH), train_lm([t for _, t in TEH]))
+    model.write_bytes(b"\n" * (k - 1) + model.read_bytes().replace(b'"lm"', b'"l\xffm"'))
+    for path, read in ((kbest, read_kbest), (model, load_model)):
+        want = outcome(oracle_read_lines, str(path))
+        assert want == f"error: {path}:{k}: not valid UTF-8"
+        assert outcome(read, str(path)) == want
+
+
+def kbest_then_failure():
+    yield KBestRecord(0, ("a",), (0.5,), ((0.0, 0.0, 0.0, 0.0),), False)
+    raise RuntimeError("decoder failed")
+
+
+def unsaveable_model():
+    lexicon = harvest(TEH)
+    lexicon.deletions[("x",)] = object()  # not JSON
+    return lexicon, train_lm([t for _, t in TEH])
+
+
+# writer name -> (destination names, the writer made to fail part way)
+FAILING_WRITERS = {
+    "write_token_lines": (["f"], lambda p: write_token_lines(p("f"), [["a"], ["b", 1]])),
+    "write_parallel": (
+        ["s", "t", "d"],
+        lambda p: write_parallel(
+            p("s"), p("t"), [pair("a", "b", domain="x"), pair("c", "d")], p("d")
+        ),
+    ),
+    "write_m2_gold": (
+        ["g.m2"],
+        lambda p: write_m2_gold(
+            p("g.m2"), [GoldAnnotation(["a"], {0: []}), GoldAnnotation(["a|||b"], {0: []})]
+        ),
+    ),
+    "save_model": (["m.json"], lambda p: save_model(p("m.json"), *unsaveable_model())),
+    "write_kbest": (["kb.jsonl"], lambda p: write_kbest(kbest_then_failure(), p("kb.jsonl"))),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("writer", FAILING_WRITERS)
+def test_failed_writer_leaves_destinations_as_they_were(tmp_path, writer, existing):
+    names, fail = FAILING_WRITERS[writer]
+    if existing:
+        for name in names:
+            (tmp_path / name).write_bytes(b"old\n")
+    with pytest.raises((ValueError, TypeError, RuntimeError)):
+        fail(lambda name: str(tmp_path / name))
+    assert sorted(os.listdir(tmp_path)) == (sorted(names) if existing else [])
+    for name in names if existing else []:
+        assert (tmp_path / name).read_bytes() == b"old\n"

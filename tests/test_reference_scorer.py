@@ -161,6 +161,15 @@ class TestRefScorer:
             DEL_OPEN, "teh", "</del>", INS_OPEN, "the", "</ins>", "mouse", "sat",
         )
 
+    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_reserved_token_in_source_is_rejected(self, beam, constrained):
+        # Decoding it would emit "he <del> </del> <del> go home", which does
+        # not validate against its own source.
+        cfg = DecodeConfig(beam=beam, constrained=constrained)
+        with pytest.raises(ValueError, match="^reserved token in source at position 1: '<del>'$"):
+            beam_decode(teh_scorer(), ["he", "<del>", "go", "home"], cfg)
+
     def test_applies_learned_deletion(self):
         pairs = [
             (["it", "is", "very", "good"], ["it", "is", "good"]),
