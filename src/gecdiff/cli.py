@@ -497,7 +497,8 @@ def _cmd_rerank(args):
     reranked = rerank_kbest(records, bias)
     best: dict[int, TokenSeq] = {}
     for rec in reranked:
-        best.setdefault(rec.sid, list(rec.tokens))
+        if rec.sid not in best:
+            best[rec.sid] = list(rec.tokens)
     lines = list(best.values())
     inputs = [args.kbest]
     if args.src:

@@ -426,6 +426,244 @@ class TestKBest:
 
 
 # ---------------------------------------------------------------------------
+# k-best reading and re-ranking against the code they replaced
+
+
+def oracle_selection_score(rec: KBestRecord, bias: BiasVector | None) -> float:
+    """``KBestRecord.selection_score`` as it was before its logs were cached."""
+    offsets = bias.as_map() if bias is not None else {}
+    toks = rec.tokens + ((EOS,) if rec.eos else ())
+    return sum(
+        _safe_log(p + offsets.get(t, 0.0)) for t, p in zip(toks, rec.probs)
+    )
+
+
+def oracle_rerank_kbest(records, bias):
+    groups: dict[int, list[KBestRecord]] = {}
+    for rec in records:
+        groups.setdefault(rec.sid, []).append(rec)
+    out = []
+    for recs in groups.values():
+        out.extend(sorted(recs, key=lambda r: (-oracle_selection_score(r, bias), r.tokens)))
+    return out
+
+
+def oracle_read_kbest(path):
+    """``read_kbest`` as it was before it shared values."""
+    from itertools import chain
+
+    from gecdiff.corpus_io import iter_lines
+
+    out = []
+    for lineno, line in enumerate(iter_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            sid, eos, tokens = obj["id"], obj["eos"], obj["tokens"]
+            probs = tuple(map(float, obj["probs"]))
+            tag_probs = tuple(tuple(map(float, t)) for t in obj["tag_probs"])
+            if type(sid) is not int:
+                raise ValueError(f"id must be an integer, got {sid!r}")
+            if type(eos) is not bool:
+                raise ValueError(f"eos must be true or false, got {eos!r}")
+            if type(tokens) is not list or not all(type(t) is str for t in tokens):
+                raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
+            if any(len(t) != 4 for t in tag_probs):
+                raise ValueError("each tag_probs entry needs 4 values")
+            if not all(0.0 <= p <= 1.0 for p in chain(probs, *tag_probs)):
+                raise ValueError("probabilities must be numbers in [0, 1]")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad k-best record: {exc}") from exc
+        expect = len(tokens) + (1 if eos else 0)
+        if len(probs) != expect or len(tag_probs) != expect:
+            raise ValueError(f"{path}:{lineno}: expected {expect} probability entries")
+        out.append(KBestRecord(sid, tuple(tokens), probs, tag_probs, eos))
+    return out
+
+
+def random_records(seed: int, n: int = 60) -> list[KBestRecord]:
+    """Records over a small vocabulary with every tag, zeros, ones and tiny values."""
+    rng = random.Random(seed)
+    vocab = ["a", "b", "the", "e-mail", *TAG_TOKENS]
+
+    def prob() -> float:
+        r = rng.random()
+        if r < 0.15:
+            return 0.0
+        if r < 0.2:
+            return 1.0
+        if r < 0.3:
+            return rng.random() ** 40  # written with a negative exponent
+        return round(rng.random(), rng.choice((1, 2, 17)))
+
+    out = []
+    for sid in range(n // 4):
+        for _ in range(rng.randint(1, 6)):
+            tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 9)))
+            eos = rng.random() < 0.6
+            steps = len(tokens) + eos
+            probs = tuple(prob() for _ in range(steps))
+            tag_probs = tuple(tuple(prob() for _ in range(4)) for _ in range(steps))
+            out.append(KBestRecord(sid, tokens, probs, tag_probs, eos))
+    return out
+
+
+def random_biases(seed: int) -> list[BiasVector | None]:
+    rng = random.Random(seed)
+    return (
+        [None, BiasVector.zero(), BiasVector.tied(1.0)]
+        + [BiasVector.tied(rng.random()) for _ in range(3)]
+        + [BiasVector(*(rng.choice((0.0, rng.random())) for _ in range(4))) for _ in range(6)]
+    )
+
+
+class TestRerankFromCachedLogs:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_selection_score_equals_oracle(self, seed):
+        records = random_records(seed)
+        for bias in random_biases(seed):
+            for _ in range(2):  # computes the cached logs, then uses them
+                got = [rec.selection_score(bias) for rec in records]
+                assert got == [oracle_selection_score(rec, bias) for rec in records]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rerank_equals_oracle(self, seed, tmp_path):
+        records = random_records(seed)
+        path = str(tmp_path / "kb.jsonl")
+        write_kbest(records, path)
+        back = read_kbest(path)
+        for bias in random_biases(seed):
+            want = oracle_rerank_kbest(records, bias)
+            assert rerank_kbest(records, bias) == want
+            assert rerank_kbest(back, bias) == want
+
+    def test_mismatched_lengths_score_as_zip_did(self):
+        # records built by hand need not satisfy the reader's length check
+        short = KBestRecord(0, ("a", DEL_OPEN, "b"), (0.5, 0.25), ((0.0,) * 4,) * 2, True)
+        long = KBestRecord(0, (DEL_OPEN,), (0.5, 0.25, 0.75), ((0.0,) * 4,) * 3, False)
+        for rec in (short, long):
+            for bias in (None, BiasVector(del_open=0.5)):
+                assert rec.selection_score(bias) == oracle_selection_score(rec, bias)
+
+    def test_cache_is_not_a_field(self):
+        rec = random_records(0)[0]
+        twin = replace(rec)
+        rec.selection_score(BiasVector.tied(0.5))
+        assert rec == twin and hash(rec) == hash(twin)
+        assert "_unbiased" not in repr(rec)
+
+
+class TestReadSharesValues:
+    def test_one_object_per_distinct_value(self, tmp_path):
+        path = str(tmp_path / "kb.jsonl")
+        write_kbest(random_records(5) * 3, path)  # every value comes again
+        back = read_kbest(path)
+        for values in (
+            [t for r in back for t in r.tokens],
+            [t for r in back for t in r.tag_probs],
+            [p for r in back for p in r.probs],
+        ):
+            assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+    def test_calls_share_nothing(self, tmp_path):
+        path = str(tmp_path / "kb.jsonl")
+        write_kbest(random_records(5), path)
+        first, second = read_kbest(path), read_kbest(path)
+        assert first == second
+        assert first[0].tag_probs[0] is not second[0].tag_probs[0]
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["positive-first", "negative-first"])
+    def test_negative_zero_rewrites_byte_identically(self, tmp_path, zero):
+        # -0.0 == 0.0 and they hash alike, so a table keyed on values would
+        # hand one line's zero, or its tag tuple, to the other line
+        other = -zero
+        records = [
+            KBestRecord(0, ("a",), (zero, 0.5), ((zero, 0.0, 0.0, 0.0), (0.0, zero, 1e-05, 0.0)), True),
+            KBestRecord(0, ("a",), (other, 0.5), ((other, 0.0, 0.0, 0.0), (0.0, other, 1e-05, 0.0)), True),
+            KBestRecord(1, ("e-mail",), (zero,), ((zero, 0.0, 0.0, 0.0),), False),
+            KBestRecord(1, ("b",), (other,), ((other, 0.0, 0.0, 0.0),), False),
+        ]
+        path, again = tmp_path / "kb.jsonl", tmp_path / "again.jsonl"
+        write_kbest(records, str(path))
+        assert "-0.0" in path.read_text(encoding="utf-8")
+        write_kbest(read_kbest(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            pytest.param("[[0, 0, 0, 0]]", id="ints"),
+            pytest.param('[["0.5", 0, 0, 0]]', id="number-strings"),
+            pytest.param('[["-0.0", 0, 0, 0]]', id="negative-zero-string"),
+            pytest.param('[["\\u002d0.0", 0, 0, 0]]', id="escaped-negative-zero-string"),
+            pytest.param("[[true, false, 0, 0]]", id="booleans"),
+            pytest.param("[[-0, 0.0, 0e0, 0]]", id="zero-spellings"),
+            pytest.param("[[-0e0, 0.0, 0, 0]]", id="negative-zero-exponent"),
+            pytest.param("[[-1e-400, 0.0, 0, 0]]", id="negative-underflow"),
+        ],
+    )
+    def test_odd_spellings_read_and_rewrite_as_before(self, tmp_path, entries):
+        # the entry follows an earlier line whose tag tuple equals it in value
+        path = tmp_path / "kb.jsonl"
+        path.write_text(
+            '{"id": 0, "tokens": [], "probs": [0.0], "tag_probs": [[0.0, 0.0, 0.0, 0.0]], "eos": true}\n'
+            '{"id": 0, "tokens": [], "probs": [0.0], "tag_probs": ' + entries + ', "eos": true}\n',
+            encoding="utf-8",
+        )
+        got, want = read_kbest(str(path)), oracle_read_kbest(str(path))
+        assert got == want
+        write_kbest(got, str(tmp_path / "got.jsonl"))
+        write_kbest(want, str(tmp_path / "want.jsonl"))
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("tag_probs", "5", id="tag-probs-number"),
+            pytest.param("tag_probs", "null", id="tag-probs-null"),
+            pytest.param("tag_probs", '"abcd"', id="tag-probs-string"),
+            pytest.param("tag_probs", "[5]", id="tag-entry-number"),
+            pytest.param("tag_probs", "[null]", id="tag-entry-null"),
+            pytest.param("tag_probs", "[[[0.5], 0, 0, 0]]", id="tag-value-list"),
+            pytest.param("tag_probs", '[[{"a": 1}, 0, 0, 0]]', id="tag-value-object"),
+            pytest.param("tag_probs", '[[null, 0, 0, 0]]', id="tag-value-null"),
+            pytest.param("tag_probs", '[["x", 0, 0, 0]]', id="tag-value-word"),
+            pytest.param("tag_probs", "[[0.5, 0, 0, 0], [0.5, 0, 0]]", id="tag-entry-3-values"),
+            pytest.param("tag_probs", "[[0.0, 0.0, 0.0, 0.0, 0.0]]", id="tag-entry-5-values"),
+            pytest.param("tag_probs", "[[0.0, 0.0, 0.0, NaN]]", id="tag-value-nan"),
+            pytest.param("tag_probs", "[[0.0, 0.0, -0.5, 0.0]]", id="tag-value-negative"),
+            pytest.param("tag_probs", "[[0.0, 0.0, 1e-05, 1.5]]", id="tag-value-above-one"),
+            pytest.param("probs", "[Infinity]", id="prob-inf"),
+            pytest.param("probs", "[-Infinity]", id="prob-minus-inf"),
+            pytest.param("probs", '["nan"]', id="prob-nan-string"),
+            pytest.param("probs", "[0.5, 0.5]", id="probs-too-many"),
+            pytest.param("id", '"0"', id="id-string-and-bad-tag"),
+            pytest.param("eos", "1", id="eos-int-and-bad-tag"),
+        ],
+    )
+    def test_rejections_match_oracle(self, tmp_path, field, value):
+        # line 1 is valid and shares its tag tuple with line 2, so line 2
+        # reads through the shared table; the last two also spoil line 2's
+        # tag entry, which the old reader reported after id and eos
+        fields = {"id": "0", "tokens": '["e-mail"]', "probs": "[0.5]",
+                  "tag_probs": "[[0.0, 0.0, 0.0, 0.0]]", "eos": "false"}
+        good = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        spoiled = dict(fields, **{field: value})
+        if field in ("id", "eos"):
+            spoiled["tag_probs"] = "[[0.0, 0.0, 0.0]]"
+        bad = "{" + ", ".join(f'"{k}": {v}' for k, v in spoiled.items()) + "}"
+        path = str(tmp_path / "kb.jsonl")
+        (tmp_path / "kb.jsonl").write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as want:
+            oracle_read_kbest(path)
+        with pytest.raises(ValueError) as got:
+            read_kbest(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}:2: ")
+
+
+# ---------------------------------------------------------------------------
 # equivalence with the reference decoder
 
 _OUT, _DEL, _INS = 0, 1, 2

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -239,9 +240,9 @@ class TestModelFiles:
         save_model(path, lex, lm)
         import json
 
-        obj = json.loads(open(path).read())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
         obj["version"] = 99
-        open(path, "w").write(json.dumps(obj))
+        Path(path).write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert "version" in str(err.value)
@@ -285,9 +286,9 @@ class TestModelFiles:
 
         path = str(tmp_path / "model.json")
         save_model(path, harvest(TEH_PAIRS), train_lm([t for _, t in TEH_PAIRS]))
-        obj = json.loads(open(path).read())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
         corrupt(obj)
-        open(path, "w").write(json.dumps(obj))
+        Path(path).write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
@@ -539,8 +540,8 @@ class TestModelFileErrors:
 
     def test_not_utf8_names_file_and_line(self, tmp_path):
         path = self.saved(tmp_path)
-        data = open(path, "rb").read().replace(b'"lm"', b'"l\xffm"')
-        open(path, "wb").write(b"\n" + data)
+        data = Path(path).read_bytes().replace(b'"lm"', b'"l\xffm"')
+        Path(path).write_bytes(b"\n" + data)
         with pytest.raises(ValueError, match=f"^{re.escape(path)}:2: not valid UTF-8$"):
             load_model(path)
 
@@ -555,7 +556,7 @@ class TestModelFileErrors:
     )
     def test_not_json_names_file_and_line(self, tmp_path, spoil, line):
         path = self.saved(tmp_path)
-        text = open(path, encoding="utf-8").read()
-        open(path, "w", encoding="utf-8").write(spoil(text))
+        text = Path(path).read_text(encoding="utf-8")
+        Path(path).write_text(spoil(text), encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: not valid JSON: "):
             load_model(path)
