@@ -3,6 +3,9 @@
 Every gecdiff file is read and written here.  A byte that does not decode
 fails with ``<file>:<line>: not valid UTF-8``; every writer goes through
 ``atomic_write``, so a failed write leaves its destinations as they were.
+Every token reader keeps one string per distinct token text through a
+``_Shared`` table made for that call, so what it returns grows with the
+vocabulary rather than with the token count.
 
 Parallel text is one sentence per line; loading tokenizes both sides.
 Cleanup rules (length caps, noisy-pair drops) are pure functions returning
@@ -17,7 +20,7 @@ import os
 import re
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .edit_extract import Edit, edits_from_tagged
 from .diff_codec import encode_diffs, parse_spans
@@ -97,6 +100,26 @@ def read_text(path: str) -> str:
         return fh.read()
 
 
+class _Shared(dict):
+    """Maps a key to the one value made from it, made on first use.
+
+    Each reader makes its own table per call, so the values it returns share
+    one object per distinct key and nothing outlives the call.  ``_Shared(str)``
+    keeps the first string read for each token text; a hit through
+    ``__getitem__`` stays in C.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _not_utf8(path: str) -> ValueError:
     """The error for a file that does not decode, naming its first bad line."""
     # undecodable bytes come back as lone surrogates, which cannot be encoded
@@ -135,9 +158,12 @@ def load_parallel(
             domains.append(label)
     else:
         domains = [None] * len(src_lines)
+    words = _Shared(str).__getitem__
+    # a line read before, most often a target equal to its source, is
+    # tokenized once and shares its tuple
+    seqs = _Shared(lambda text: tuple(map(words, tokenize(text)))).__getitem__
     return [
-        SentencePair(tuple(tokenize(s)), tuple(tokenize(t)), domain=d)
-        for s, t, d in zip(src_lines, tgt_lines, domains)
+        SentencePair(seqs(s), seqs(t), domain=d) for s, t, d in zip(src_lines, tgt_lines, domains)
     ]
 
 
@@ -160,7 +186,9 @@ def write_parallel(
 
 
 def read_token_lines(path: str) -> list[TokenSeq]:
-    return [line.split() for line in iter_lines(path)]
+    """One fresh list per line; the lines share one string per distinct token."""
+    words = _Shared(str).__getitem__
+    return [list(map(words, line.split())) for line in iter_lines(path)]
 
 
 def write_token_lines(path: str, seqs: list[TokenSeq]) -> None:
@@ -312,7 +340,9 @@ def filter_lang8(
 # gold edit files
 
 
-def _parse_a_line(line: str, where: str) -> tuple[int, int, str, tuple[str, ...], int]:
+def _parse_a_line(
+    line: str, where: str, words: Callable[[str], str]
+) -> tuple[int, int, str, tuple[str, ...], int]:
     body = line[2:]
     fields = body.split("|||")
     if len(fields) != 6:
@@ -326,7 +356,7 @@ def _parse_a_line(line: str, where: str) -> tuple[int, int, str, tuple[str, ...]
         raise ValueError(f"{where}: bad span {fields[0]!r}") from None
     kind = fields[1]
     repl_text = fields[2].split("||")[0]  # first alternative wins
-    replacement = () if repl_text in ("", "-NONE-") else tuple(repl_text.split())
+    replacement = () if repl_text in ("", "-NONE-") else tuple(map(words, repl_text.split()))
     try:
         annotator = int(fields[5])
     except ValueError:
@@ -338,6 +368,7 @@ def load_m2_gold(path: str) -> list[GoldAnnotation]:
     annotations: list[GoldAnnotation] = []
     source: tuple[str, ...] | None = None
     edits: dict[int, list[Edit]] = {}
+    words = _Shared(str).__getitem__
 
     def flush(where: str) -> None:
         nonlocal source, edits
@@ -362,12 +393,12 @@ def load_m2_gold(path: str) -> list[GoldAnnotation]:
         if line.startswith("S ") or line == "S":
             if source is not None:
                 raise ValueError(f"{where}: S line before blank separator")
-            source = tuple(line[2:].split())
+            source = tuple(map(words, line[2:].split()))
             edits = {}
         elif line.startswith("A "):
             if source is None:
                 raise ValueError(f"{where}: A line without preceding S line")
-            start, end, kind, replacement, annotator = _parse_a_line(line, where)
+            start, end, kind, replacement, annotator = _parse_a_line(line, where, words)
             if start == -1 and end == -1:  # explicit no-edit marker
                 edits.setdefault(annotator, [])
                 continue

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .corpus_io import atomic_write, iter_lines
+from .corpus_io import _Shared, atomic_write, iter_lines
 from .diff_codec import NEXT_MODE, TAG_MOVES, repair, strip_to_target
 from .metrics import PRF, DEFAULT_BETA, GoldAnnotation, m2_maxmatch
 from .text_norm import (
@@ -547,6 +547,14 @@ class KBestRecord:
     tag_probs: tuple[tuple[float, float, float, float], ...]
     eos: bool
 
+    def __post_init__(self) -> None:
+        steps = len(self.tokens) + (1 if self.eos else 0)
+        if len(self.probs) != steps or len(self.tag_probs) != steps:
+            raise ValueError(
+                f"expected {steps} probability entries, got {len(self.probs)} probs "
+                f"and {len(self.tag_probs)} tag_probs"
+            )
+
     @cached_property
     def _unbiased(self) -> tuple[array, tuple[int, ...]]:
         """Each step's unbiased log, and the steps whose token is a tag.
@@ -555,9 +563,8 @@ class KBestRecord:
         so equality ignores it.  An ``array`` holds a log in 8 bytes, where a
         tuple of floats takes 32.
         """
-        probs = self.probs[: len(self.tokens) + self.eos]
-        tags = tuple(i for i, t in enumerate(self.tokens[: len(probs)]) if t in TAG_TOKENS)
-        return array("d", map(_safe_log, probs)), tags
+        tags = tuple(i for i, t in enumerate(self.tokens) if t in TAG_TOKENS)
+        return array("d", map(_safe_log, self.probs)), tags
 
     def _score(self, offsets: dict[str, float]) -> float:
         """The selection score under tag ``offsets`` (``BiasVector.as_map``).
@@ -618,22 +625,11 @@ def read_kbest(path: str) -> list[KBestRecord]:
     return [reader.record(line, n) for n, line in lines if line.strip()]
 
 
-class _Shared(dict):
-    """Maps a key to the one value made from it, made on first use."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _float_tuple(entry) -> tuple[float, ...]:
     return tuple(map(float, entry))
+
+
+_NUMBER_TYPES = frozenset({int, float})  # JSON numbers; bool and str are not
 
 
 class _KBestReader:
@@ -644,31 +640,36 @@ class _KBestReader:
         self.decode = json.JSONDecoder(parse_float=_Shared(float).__getitem__).decode
         self.words = _Shared(str)
         self.tag_tuples = _Shared(_float_tuple)  # a parsed entry -> its floats
-        self.in_range: set[float] = set()  # the values already checked
+        self.checked: set[int | float] = set()  # the numbers already found in [0, 1]
 
-    def tag_probs(self, entries, line: str) -> tuple[tuple, list]:
-        """``entries`` as tuples of floats, and those not read before."""
+    def tag_probs(self, entries, line: str, shareable: bool) -> tuple[tuple, list]:
+        """``entries`` as tuples of floats, and the parsed entries not read before."""
         table = self.tag_tuples
         # -0.0 == 0.0, so an entry holding -0.0 must not share the tuple of
         # one holding 0.0.  Share only where every minus sign on the line is
         # an exponent's; a negative number starts with one that is not.
-        if "-" not in line or line.count("-") == line.count("e-") + line.count("E-"):
+        if shareable and (
+            "-" not in line or line.count("-") == line.count("e-") + line.count("E-")
+        ):
             known = len(table)
             try:
                 shared = tuple(map(table.__getitem__, map(tuple, entries)))
             except TypeError:  # an entry float() rejects; the loop below raises
                 pass
             else:
-                return shared, list(islice(reversed(table.values()), len(table) - known))
-        fresh = tuple(map(_float_tuple, entries))
-        return fresh, list(fresh)
+                return shared, list(islice(reversed(table), len(table) - known))
+        return tuple(map(_float_tuple, entries)), entries
 
     def record(self, line: str, lineno: int) -> KBestRecord:
+        # True == 1 and both hash alike, so a boolean would pass as a number
+        # already checked, or take the tag tuple made for one; a line with a
+        # boolean besides eos shares nothing and has every value checked.
+        shareable = line.count("true") + line.count("false") == 1
         try:
             obj = self.decode(line)
-            sid, eos, tokens = obj["id"], obj["eos"], obj["tokens"]
-            probs = tuple(map(float, obj["probs"]))
-            tag_probs, fresh = self.tag_probs(obj["tag_probs"], line)
+            sid, eos, tokens, numbers = obj["id"], obj["eos"], obj["tokens"], obj["probs"]
+            probs = tuple(map(float, numbers))
+            tag_probs, fresh = self.tag_probs(obj["tag_probs"], line, shareable)
             if type(sid) is not int:
                 raise ValueError(f"id must be an integer, got {sid!r}")
             if type(eos) is not bool:
@@ -677,11 +678,11 @@ class _KBestReader:
                 raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
             if any(len(t) != 4 for t in fresh):
                 raise ValueError("each tag_probs entry needs 4 values")
-            if fresh or not self.in_range.issuperset(probs):
-                values = [*probs, *chain.from_iterable(fresh)]
-                if not all(0.0 <= p <= 1.0 for p in values):
+            if fresh or not (shareable and self.checked.issuperset(numbers)):
+                values = [*numbers, *chain.from_iterable(fresh)]
+                if not all(type(p) in _NUMBER_TYPES and 0.0 <= p <= 1.0 for p in values):
                     raise ValueError("probabilities must be numbers in [0, 1]")
-                self.in_range.update(values)
+                self.checked.update(values)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{self.path}:{lineno}: bad k-best record: {exc}") from exc
         expect = len(tokens) + (1 if eos else 0)

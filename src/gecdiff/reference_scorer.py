@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .corpus_io import read_text, write_text
+from .corpus_io import _Shared, read_text, write_text
 from .decode_bias import EOS
 from .diff_codec import NEXT_MODE, encode_diffs
 from .edit_extract import edits_from_tagged
@@ -326,7 +326,11 @@ class RefScorer:
                     w[INS_CLOSE] = self.close_weight * table[prefix]
             if not w:
                 w[INS_CLOSE] = 1.0
-        total = sum(w.values())
+        # added left to right: CPython 3.12 made sum() of floats compensated,
+        # which would move the last bit and change the dumps across versions
+        total = 0.0
+        for v in w.values():
+            total += v
         assert total > 0.0, "scorer state with no positive continuation"
         dist = {tok: v / total for tok, v in sorted(w.items())}
         for tok in TAG_TOKENS:
@@ -388,10 +392,6 @@ MODEL_VERSION = 1
 
 def _join(phrase: tuple[str, ...]) -> str:
     return " ".join(phrase)
-
-
-def _split(text: str) -> tuple[str, ...]:
-    return tuple(text.split())
 
 
 def save_model(path: str, lexicon: ConfusionLexicon, lm: NGramLM) -> None:
@@ -474,22 +474,28 @@ def load_model(path: str) -> tuple[ConfusionLexicon, NGramLM]:
     if obj.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {obj.get('version')!r}")
     _check_schema(obj, path)
+    # one string per distinct word across the lexicon and the LM
+    word = _Shared(str).__getitem__
+
+    def split(text: str) -> tuple[str, ...]:
+        return tuple(map(word, text.split()))
+
     lex_obj = obj["lexicon"]
     lexicon = ConfusionLexicon(
         replacements={
-            _split(src): Counter({_split(r): c for r, c in repls})
+            split(src): Counter({split(r): c for r, c in repls})
             for src, repls in lex_obj["replacements"]
         },
-        deletions=Counter({_split(p): c for p, c in lex_obj["deletions"]}),
+        deletions=Counter({split(p): c for p, c in lex_obj["deletions"]}),
         insertions={
-            key: Counter({_split(p): c for p, c in phrases})
+            word(key): Counter({split(p): c for p, c in phrases})
             for key, phrases in lex_obj["insertions"]
         },
     )
     lexicon.check()
     lm_obj = obj["lm"]
     counts = {
-        _split(ctx): Counter({w: c for w, c in counter})
+        split(ctx): Counter({word(w): c for w, c in counter})
         for ctx, counter in lm_obj["counts"]
     }
     for ctx, counter in counts.items():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 import pytest
 
@@ -27,6 +28,7 @@ from gecdiff.decode_bias import KBestRecord, read_kbest, write_kbest
 from gecdiff.edit_extract import Edit
 from gecdiff.metrics import GoldAnnotation
 from gecdiff.reference_scorer import harvest, load_model, save_model, train_lm
+from gecdiff.text_norm import tokenize
 
 
 def pair(src, tgt, **kw):
@@ -514,3 +516,294 @@ def test_failed_writer_leaves_destinations_as_they_were(tmp_path, writer, existi
     assert sorted(os.listdir(tmp_path)) == (sorted(names) if existing else [])
     for name in names if existing else []:
         assert (tmp_path / name).read_bytes() == b"old\n"
+
+
+# ---------------------------------------------------------------------------
+# one string per distinct token: the readers as they were before they shared
+# their strings, kept verbatim as oracles
+
+
+def oracle_read_token_lines(path: str) -> list[list[str]]:
+    return [line.split() for line in iter_lines(path)]
+
+
+def oracle_load_parallel(
+    src_path: str, tgt_path: str, dom_path: str | None = None
+) -> list[SentencePair]:
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
+    if len(src_lines) != len(tgt_lines):
+        raise ValueError(
+            f"line count mismatch: {src_path} has {len(src_lines)}, "
+            f"{tgt_path} has {len(tgt_lines)}"
+        )
+    domains: list[str | None]
+    if dom_path is not None:
+        dom_lines = read_lines(dom_path)
+        if len(dom_lines) != len(src_lines):
+            raise ValueError(
+                f"line count mismatch: {src_path} has {len(src_lines)}, "
+                f"{dom_path} has {len(dom_lines)}"
+            )
+        domains = []
+        for n, line in enumerate(dom_lines, 1):
+            label = line.strip()
+            if not label:
+                raise ValueError(f"{dom_path}:{n}: empty domain label")
+            domains.append(label)
+    else:
+        domains = [None] * len(src_lines)
+    return [
+        SentencePair(tuple(tokenize(s)), tuple(tokenize(t)), domain=d)
+        for s, t, d in zip(src_lines, tgt_lines, domains)
+    ]
+
+
+def oracle_parse_a_line(line: str, where: str) -> tuple[int, int, str, tuple[str, ...], int]:
+    body = line[2:]
+    fields = body.split("|||")
+    if len(fields) != 6:
+        raise ValueError(f"{where}: expected 6 fields, got {len(fields)}")
+    span = fields[0].split()
+    if len(span) != 2:
+        raise ValueError(f"{where}: bad span {fields[0]!r}")
+    try:
+        start, end = int(span[0]), int(span[1])
+    except ValueError:
+        raise ValueError(f"{where}: bad span {fields[0]!r}") from None
+    kind = fields[1]
+    repl_text = fields[2].split("||")[0]  # first alternative wins
+    replacement = () if repl_text in ("", "-NONE-") else tuple(repl_text.split())
+    try:
+        annotator = int(fields[5])
+    except ValueError:
+        raise ValueError(f"{where}: bad annotator id {fields[5]!r}") from None
+    return start, end, kind, replacement, annotator
+
+
+def oracle_load_m2_gold(path: str) -> list[GoldAnnotation]:
+    annotations: list[GoldAnnotation] = []
+    source: tuple[str, ...] | None = None
+    edits: dict[int, list[Edit]] = {}
+
+    def flush(where: str) -> None:
+        nonlocal source, edits
+        if source is None:
+            return
+        ann = GoldAnnotation(
+            source=list(source),
+            annotators={a: sorted(es) for a, es in edits.items()} or {0: []},
+        )
+        try:
+            ann.check()
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        annotations.append(ann)
+        source, edits = None, {}
+
+    for n, line in enumerate(read_lines(path), 1):
+        where = f"{path}:{n}"
+        if not line.strip():
+            flush(where)
+            continue
+        if line.startswith("S ") or line == "S":
+            if source is not None:
+                raise ValueError(f"{where}: S line before blank separator")
+            source = tuple(line[2:].split())
+            edits = {}
+        elif line.startswith("A "):
+            if source is None:
+                raise ValueError(f"{where}: A line without preceding S line")
+            start, end, kind, replacement, annotator = oracle_parse_a_line(line, where)
+            if start == -1 and end == -1:  # explicit no-edit marker
+                edits.setdefault(annotator, [])
+                continue
+            if not 0 <= start <= end <= len(source):
+                raise ValueError(f"{where}: span {start} {end} outside source")
+            edits.setdefault(annotator, []).append(
+                Edit(start, end, tuple(source[start:end]), replacement)
+            )
+        else:
+            raise ValueError(f"{where}: unrecognized line {line!r}")
+    flush(f"{path}:end")
+    return annotations
+
+
+# plain words, words tokenize splits, reserved tokens in raw text and their
+# escaped forms in token files, non-ASCII words and single characters
+WORDS = [
+    "the", "cat", "sat", "on", "mat", "a", ".", "don't", "(hello)", "end.", "Yes,",
+    "<del>", "</ins>", "<dom:news>", "##<del>", "##</ins>", "naïve", "café", "x|y",
+]
+
+
+def random_text(rng: random.Random, lines: int, blank: float = 0.1) -> str:
+    """Lines of WORDS with odd spacing, some blank, ending in LF or CRLF."""
+    out = []
+    for _ in range(lines):
+        if rng.random() < blank:
+            out.append(rng.choice(["", " ", "\t"]))
+        else:
+            words = [rng.choice(WORDS) for _ in range(rng.randint(1, 12))]
+            out.append(rng.choice([" ", "  ", "\t"]).join(words))
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in out)
+
+
+def random_m2(rng: random.Random, sentences: int) -> str:
+    """Gold edits with several annotators, no-op entries and odd replacement spellings."""
+    plain = [w for w in WORDS if "<" not in w and "|" not in w]
+    blocks = []
+    for _ in range(sentences):
+        source = [rng.choice(plain) for _ in range(rng.randint(1, 10))]
+        lines = ["S " + " ".join(source)]
+        for annotator in range(rng.randint(1, 3)):
+            cuts = sorted(rng.sample(range(len(source) + 1), min(4, len(source) + 1)))
+            spans = list(zip(cuts[::2], cuts[1::2]))
+            if not spans or rng.random() < 0.2:
+                lines.append(f"A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||{annotator}")
+                continue
+            for start, end in spans:
+                repl = rng.choice(
+                    ["", "-NONE-", " ".join(rng.choices(plain, k=rng.randint(1, 3))), "cat||mat"]
+                )
+                lines.append(f"A {start} {end}|||R:X|||{repl}|||REQUIRED|||-NONE-|||{annotator}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
+
+
+def distinct_objects(tokens) -> bool:
+    """Whether equal tokens are one object (and there was something to share)."""
+    tokens = list(tokens)
+    return len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
+
+
+def shared_across(first, second) -> set[str]:
+    """Tokens of two results that are one object; CPython keeps one object
+    per single-character string anyway, so only longer ones count."""
+    ids = {id(t) for t in first if len(t) > 1}
+    return {t for t in second if len(t) > 1 and id(t) in ids}
+
+
+def m2_tokens(golds: list[GoldAnnotation]):
+    for ann in golds:
+        yield from ann.source
+        for edits in ann.annotators.values():
+            for e in edits:
+                yield from e.deleted
+                yield from e.replacement
+
+
+class TestReadersShareStrings:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_token_lines_match_oracle(self, tmp_path, seed):
+        path = tmp_path / "t.txt"
+        path.write_bytes(random_text(random.Random(seed), 300).encode("utf-8"))
+        got = read_token_lines(str(path))
+        assert got == oracle_read_token_lines(str(path))
+        assert all(type(line) is list for line in got)
+        assert len({id(line) for line in got}) == len(got)  # a fresh list per line
+        assert distinct_objects(t for line in got for t in line)
+        again = read_token_lines(str(path))
+        assert not shared_across(
+            [t for line in got for t in line], [t for line in again for t in line]
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("domains", [False, True])
+    def test_parallel_matches_oracle(self, tmp_path, seed, domains):
+        rng = random.Random(seed)
+        src, tgt, dom = (str(tmp_path / name) for name in ("s", "t", "d"))
+        src_lines = random_text(rng, 200).splitlines(keepends=True)
+        with open(src, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(src_lines))
+        with open(tgt, "w", encoding="utf-8", newline="") as fh:  # about half unchanged
+            fh.write("".join(line if rng.random() < 0.5 else random_text(rng, 1) for line in src_lines))
+        with open(dom, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(rng.choice(["news\n", " web \r\n"]) for _ in range(200)))
+        args = (src, tgt, dom) if domains else (src, tgt)
+        got = load_parallel(*args)
+        assert got == oracle_load_parallel(*args)
+
+        def tokens(pairs):
+            return [t for p in pairs for t in (*p.source, *p.target)]
+
+        assert distinct_objects(tokens(got))
+        assert not shared_across(tokens(got), tokens(load_parallel(*args)))
+        unchanged = [p for p, s, t in zip(got, read_lines(src), read_lines(tgt)) if s == t]
+        assert unchanged and all(p.source is p.target for p in unchanged)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_m2_gold_matches_oracle(self, tmp_path, seed, newline):
+        path = tmp_path / "g.m2"
+        path.write_bytes(random_m2(random.Random(seed), 80).replace("\n", newline).encode("utf-8"))
+        got = load_m2_gold(str(path))
+        assert got == oracle_load_m2_gold(str(path))
+        assert any(len(ann.annotators) > 1 for ann in got)
+        assert any(edits == [] for ann in got for edits in ann.annotators.values())
+        assert distinct_objects(m2_tokens(got))
+        assert not shared_across(list(m2_tokens(got)), list(m2_tokens(load_m2_gold(str(path)))))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("S a b\nA 0 1|||R|||c|||REQUIRED|||-NONE-\n", id="five-fields"),
+            pytest.param("S a b\nA 0|||R|||c|||REQUIRED|||-NONE-|||0\n", id="one-span-number"),
+            pytest.param("S a b\nA 0 x|||R|||c|||REQUIRED|||-NONE-|||0\n", id="span-word"),
+            pytest.param("S a b\nA 0 3|||R|||c|||REQUIRED|||-NONE-|||0\n", id="span-outside"),
+            pytest.param("S a b\nA 0 1|||R|||c|||REQUIRED|||-NONE-|||z\n", id="annotator-word"),
+            pytest.param("S a\n\nA 0 1|||R|||c|||REQUIRED|||-NONE-|||0\n", id="a-without-s"),
+            pytest.param("S a\nS b\n", id="s-before-blank"),
+            pytest.param("S a\nB c\n", id="unrecognized"),
+            pytest.param(
+                "S a b c\nA 0 2|||R|||x|||REQUIRED|||-NONE-|||0\n"
+                "A 1 3|||R|||y|||REQUIRED|||-NONE-|||0\n\nS d\n",
+                id="overlap",
+            ),
+            pytest.param(
+                "S a b c\nA 0 2|||R|||x|||REQUIRED|||-NONE-|||0\n"
+                "A 1 3|||R|||y|||REQUIRED|||-NONE-|||0\n",
+                id="overlap-at-end",
+            ),
+        ],
+    )
+    def test_m2_errors_unchanged(self, tmp_path, text):
+        path = tmp_path / "g.m2"
+        path.write_text("S ok\n\n" + text, encoding="utf-8")
+        assert outcome(load_m2_gold, str(path)) == outcome(oracle_load_m2_gold, str(path))
+        assert outcome(load_m2_gold, str(path)).startswith(f"error: {path}:")
+
+    @pytest.mark.parametrize("k", [1, 3, 2501])
+    def test_bad_utf8_errors_unchanged(self, tmp_path, k):
+        lines = [b"S a b", b"A 0 1|||R|||c|||REQUIRED|||-NONE-|||0", b""] * 1000
+        lines[k - 1] = lines[k - 1].replace(b"a", b"\xff", 1) + b"\xff"
+        path = tmp_path / "f"
+        path.write_bytes(b"\n".join(lines))
+        ok = tmp_path / "ok"
+        ok.write_bytes(b"a\n" * 3000)
+        want = f"error: {path}:{k}: not valid UTF-8"
+        for read, oracle in (
+            (read_token_lines, oracle_read_token_lines),
+            (load_m2_gold, oracle_load_m2_gold),
+            (lambda p: load_parallel(p, str(ok)), lambda p: oracle_load_parallel(p, str(ok))),
+            (lambda p: load_parallel(str(ok), p), lambda p: oracle_load_parallel(str(ok), p)),
+        ):
+            assert outcome(read, str(path)) == outcome(oracle, str(path)) == want
+
+    @pytest.mark.parametrize(
+        "src, tgt, dom",
+        [
+            pytest.param("a\nb\n", "a\n", None, id="target-short"),
+            pytest.param("a\nb\n", "a\nb\n", "x\n", id="domains-short"),
+            pytest.param("a\nb\n", "a\nb\n", "x\n \n", id="empty-label"),
+        ],
+    )
+    def test_parallel_errors_unchanged(self, tmp_path, src, tgt, dom):
+        paths = []
+        for name, text in (("s", src), ("t", tgt), ("d", dom)):
+            if text is not None:
+                (tmp_path / name).write_text(text, encoding="utf-8")
+                paths.append(str(tmp_path / name))
+        got = outcome(lambda _: load_parallel(*paths), "")
+        assert got.startswith("error: ")
+        assert got == outcome(lambda _: oracle_load_parallel(*paths), "")

@@ -538,13 +538,20 @@ class TestRerankFromCachedLogs:
             assert rerank_kbest(records, bias) == want
             assert rerank_kbest(back, bias) == want
 
-    def test_mismatched_lengths_score_as_zip_did(self):
-        # records built by hand need not satisfy the reader's length check
-        short = KBestRecord(0, ("a", DEL_OPEN, "b"), (0.5, 0.25), ((0.0,) * 4,) * 2, True)
-        long = KBestRecord(0, (DEL_OPEN,), (0.5, 0.25, 0.75), ((0.0,) * 4,) * 3, False)
-        for rec in (short, long):
-            for bias in (None, BiasVector(del_open=0.5)):
-                assert rec.selection_score(bias) == oracle_selection_score(rec, bias)
+    @pytest.mark.parametrize(
+        "tokens, probs, tags, eos",
+        [
+            pytest.param(("a", DEL_OPEN, "b"), 2, 2, True, id="probs-short"),
+            pytest.param((DEL_OPEN,), 3, 3, False, id="probs-long"),
+            pytest.param(("a",), 2, 1, True, id="tag-probs-short"),
+            pytest.param(("a",), 1, 2, False, id="tag-probs-long"),
+            pytest.param((), 0, 0, True, id="eos-without-step"),
+        ],
+    )
+    def test_mismatched_lengths_do_not_construct(self, tokens, probs, tags, eos):
+        # a record built by hand used to score the shorter of tokens and probs
+        with pytest.raises(ValueError, match="probability entries"):
+            KBestRecord(0, tokens, (0.5,) * probs, ((0.0,) * 4,) * tags, eos)
 
     def test_cache_is_not_a_field(self):
         rec = random_records(0)[0]
@@ -594,10 +601,7 @@ class TestReadSharesValues:
         "entries",
         [
             pytest.param("[[0, 0, 0, 0]]", id="ints"),
-            pytest.param('[["0.5", 0, 0, 0]]', id="number-strings"),
-            pytest.param('[["-0.0", 0, 0, 0]]', id="negative-zero-string"),
-            pytest.param('[["\\u002d0.0", 0, 0, 0]]', id="escaped-negative-zero-string"),
-            pytest.param("[[true, false, 0, 0]]", id="booleans"),
+            pytest.param("[[1, 0, 0, 1]]", id="int-ones"),
             pytest.param("[[-0, 0.0, 0e0, 0]]", id="zero-spellings"),
             pytest.param("[[-0e0, 0.0, 0, 0]]", id="negative-zero-exponent"),
             pytest.param("[[-1e-400, 0.0, 0, 0]]", id="negative-underflow"),
@@ -616,6 +620,48 @@ class TestReadSharesValues:
         write_kbest(got, str(tmp_path / "got.jsonl"))
         write_kbest(want, str(tmp_path / "want.jsonl"))
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, number, spelling",
+        [
+            pytest.param("tag_probs", "[[0.5, 0, 0, 0]]", '[["0.5", 0, 0, 0]]', id="number-strings"),
+            pytest.param("tag_probs", "[[0.0, 0, 0, 0]]", '[["-0.0", 0, 0, 0]]', id="negative-zero-string"),
+            pytest.param(
+                "tag_probs", "[[0.0, 0, 0, 0]]", '[["\\u002d0.0", 0, 0, 0]]',
+                id="escaped-negative-zero-string",
+            ),
+            pytest.param("tag_probs", "[[1.0, 0.0, 0, 0]]", "[[true, false, 0, 0]]", id="booleans"),
+            pytest.param("tag_probs", "[[1, 0, 0, 0]]", "[[true, 0, 0, 0]]", id="boolean-after-int"),
+            pytest.param("probs", "[0.5]", '["0.5"]', id="prob-number-string"),
+            pytest.param("probs", "[1.0]", "[true]", id="prob-boolean"),
+            pytest.param("probs", "[0]", "[false]", id="prob-boolean-after-int"),
+        ],
+    )
+    def test_numbers_only(self, tmp_path, field, number, spelling):
+        # line 1 holds the same values as numbers, so line 2 would share
+        # them if a string or a boolean were taken for the number it equals
+        fields = {"id": "0", "tokens": "[]", "probs": "[0.5]",
+                  "tag_probs": "[[0.5, 0.0, 0.0, 0.0]]", "eos": "true"}
+        lines = ["{" + ", ".join(f'"{k}": {v}' for k, v in dict(fields, **{field: v}).items()) + "}"
+                 for v in (number, spelling)]
+        path = tmp_path / "kb.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert len(oracle_read_kbest(str(path))) == 2  # the old reader took both
+        with pytest.raises(ValueError) as got:
+            read_kbest(str(path))
+        assert str(got.value) == (
+            f"{path}:2: bad k-best record: probabilities must be numbers in [0, 1]"
+        )
+
+    def test_words_true_and_false_read_as_before(self, tmp_path):
+        # a line naming true or false besides eos reads without the tables
+        records = [
+            KBestRecord(0, ("true",), (1.0,), ((1.0, 0.0, 0.0, 0.0),), False),
+            KBestRecord(0, ("false", "a"), (1.0, 0.0, 0.5), ((1.0, 0.0, 0.0, 0.0),) * 3, True),
+        ]
+        path = str(tmp_path / "kb.jsonl")
+        write_kbest(records, path)
+        assert read_kbest(path) == oracle_read_kbest(path) == records
 
     @pytest.mark.parametrize(
         "field, value",

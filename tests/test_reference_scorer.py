@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gecdiff.corpus_io import read_text
 from gecdiff.decode_bias import EOS, BiasVector, DecodeConfig, beam_decode
 from gecdiff.diff_codec import NEXT_MODE, strip_to_target
 from gecdiff.reference_scorer import (
@@ -16,8 +17,11 @@ from gecdiff.reference_scorer import (
     UNK,
     ConfusionLexicon,
     NGramLM,
+    MODEL_FORMAT,
+    MODEL_VERSION,
     RefScorer,
     RefState,
+    _check_schema,
     harvest,
     load_model,
     save_model,
@@ -292,6 +296,9 @@ class TestModelFiles:
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: ")
+        with pytest.raises(ValueError) as want:
+            oracle_load_model(path)
+        assert str(err.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +357,9 @@ def oracle_dist(self, state):
                 w[INS_CLOSE] = self.close_weight * table[prefix]
         if not w:
             w[INS_CLOSE] = 1.0
-    total = sum(w.values())
+    total = 0.0  # left to right, as dist adds on every CPython version
+    for v in w.values():
+        total += v
     assert total > 0.0, "scorer state with no positive continuation"
     dist = {tok: v / total for tok, v in sorted(w.items())}
     for tok in TAG_TOKENS:
@@ -558,5 +567,131 @@ class TestModelFileErrors:
         path = self.saved(tmp_path)
         text = Path(path).read_text(encoding="utf-8")
         Path(path).write_text(spoil(text), encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: not valid JSON: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: not valid JSON: ") as err:
             load_model(path)
+        with pytest.raises(ValueError) as want:
+            oracle_load_model(path)
+        assert str(err.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# load_model as it was before it shared one string per distinct word, kept
+# verbatim as an oracle
+
+
+def _oracle_split(text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
+def oracle_load_model(path: str) -> tuple[ConfusionLexicon, NGramLM]:
+    import json
+
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}:{exc.lineno}: not valid JSON: {exc.msg} at column {exc.colno}"
+        ) from None
+    if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
+        raise ValueError(f"{path}: not a reference model file")
+    if obj.get("version") != MODEL_VERSION:
+        raise ValueError(f"{path}: unsupported model version {obj.get('version')!r}")
+    _check_schema(obj, path)
+    lex_obj = obj["lexicon"]
+    lexicon = ConfusionLexicon(
+        replacements={
+            _oracle_split(src): Counter({_oracle_split(r): c for r, c in repls})
+            for src, repls in lex_obj["replacements"]
+        },
+        deletions=Counter({_oracle_split(p): c for p, c in lex_obj["deletions"]}),
+        insertions={
+            key: Counter({_oracle_split(p): c for p, c in phrases})
+            for key, phrases in lex_obj["insertions"]
+        },
+    )
+    lexicon.check()
+    lm_obj = obj["lm"]
+    counts = {
+        _oracle_split(ctx): Counter({w: c for w, c in counter})
+        for ctx, counter in lm_obj["counts"]
+    }
+    for ctx, counter in counts.items():
+        for w, c in counter.items():
+            if c <= 0:
+                raise ValueError(f"{path}: nonpositive LM count for {w!r}")
+    lm = NGramLM(lm_obj["order"], counts, lm_obj["interp"], lm_obj["unk_mass"])
+    return lexicon, lm
+
+
+def random_model_pairs(seed: int, n: int = 120) -> list[tuple[list[str], list[str]]]:
+    """Pairs with replacements, deletions and insertions over a small vocabulary."""
+    rng = random.Random(seed)
+    vocab = ["the", "teh", "cat", "sat", "a", "an", "on", "mat", ".", ",", "naïve", "café"]
+    pairs = []
+    for _ in range(n):
+        src = [rng.choice(vocab) for _ in range(rng.randint(1, 9))]
+        tgt = list(src)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(tgt) + 1)
+            op = rng.random()
+            if op < 0.4 and i < len(tgt):
+                tgt[i] = rng.choice(vocab)
+            elif op < 0.7 and i < len(tgt) and len(tgt) > 1:
+                del tgt[i]
+            else:
+                tgt[i:i] = rng.choices(vocab, k=rng.randint(1, 2))
+        pairs.append((src, tgt))
+    return pairs
+
+
+def model_words(lexicon: ConfusionLexicon, lm: NGramLM) -> list[str]:
+    words: list[str] = [*lexicon.insertions]
+    for table in (lexicon.replacements, lexicon.deletions, *lexicon.insertions.values()):
+        for phrase in table:
+            words.extend(phrase)
+    for counter in lexicon.replacements.values():
+        for phrase in counter:
+            words.extend(phrase)
+    for ctx, counter in lm.counts.items():
+        words.extend(ctx)
+        words.extend(counter)
+    return words
+
+
+class TestLoadModelSharesWords:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_oracle(self, tmp_path, seed):
+        pairs = random_model_pairs(seed)
+        path = str(tmp_path / "model.json")
+        save_model(path, harvest(pairs), train_lm([t for _, t in pairs], order=3))
+        (lex, lm), (want_lex, want_lm) = load_model(path), oracle_load_model(path)
+        assert lex == want_lex and lex.insertions and lex.replacements and lex.deletions
+        assert (lm.order, lm.counts, lm.interp, lm.unk_mass) == (
+            want_lm.order, want_lm.counts, want_lm.interp, want_lm.unk_mass
+        )
+        save_model(str(tmp_path / "again.json"), lex, lm)
+        assert (tmp_path / "again.json").read_bytes() == Path(path).read_bytes()
+
+    def test_one_string_per_word_within_a_call_only(self, tmp_path):
+        pairs = random_model_pairs(0)
+        path = str(tmp_path / "model.json")
+        save_model(path, harvest(pairs), train_lm([t for _, t in pairs], order=3))
+        words = model_words(*load_model(path))
+        assert len({id(w) for w in words}) == len(set(words)) < len(words)
+        again = {id(w) for w in model_words(*load_model(path)) if len(w) > 1}
+        # CPython keeps one object per single-character string anyway
+        assert not any(id(w) in again for w in words if len(w) > 1)
+
+    def test_nonpositive_count_error_unchanged(self, tmp_path):
+        import json
+
+        path = str(tmp_path / "model.json")
+        save_model(path, harvest(TEH_PAIRS), train_lm([t for _, t in TEH_PAIRS]))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj["lm"]["counts"][0][1][0][1] = 0
+        Path(path).write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        with pytest.raises(ValueError) as want:
+            oracle_load_model(path)
+        assert str(err.value) == str(want.value) and "nonpositive LM count" in str(err.value)
