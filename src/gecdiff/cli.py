@@ -2,8 +2,10 @@
 
 Every run writes a manifest (subcommand, resolved config, paths, seed,
 version) next to its primary output, or next to its first input when it
-writes no file, so experiments can be replayed.  Handlers read and write
-files only through the library, whose writers are all atomic
+writes no file, so experiments can be replayed.  Each subcommand declares
+the file arguments it reads and writes where the parser adds it, and
+``main`` alone lists the ones given in the manifest.  Handlers read and
+write files only through the library, whose writers are all atomic
 (``corpus_io.atomic_write``): a failed run leaves no partial file behind.
 """
 
@@ -27,6 +29,7 @@ from .analysis import (
 )
 from .corpus_io import (
     PRESETS,
+    corpus_stats,
     filter_lang8,
     length_filter,
     load_m2_gold,
@@ -90,10 +93,6 @@ def _pct(x: float) -> str:
     return f"{x * 100:.2f}"
 
 
-def _prf_dict(prf) -> dict:
-    return dataclasses.asdict(prf)
-
-
 def _check_same_length(name_a: str, a: list, name_b: str, b: list) -> None:
     if len(a) != len(b):
         raise ValueError(f"{name_a} has {len(a)} lines, {name_b} has {len(b)}")
@@ -112,13 +111,12 @@ def _read_untagged(path: str, what: str, allow_empty: bool = True) -> list[Token
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (inputs, outputs, seed)
+# subcommand handlers: each returns its --json report, or nothing
 
 
 def _cmd_tokenize(args):
     lines = read_lines(args.infile)
     write_token_lines(args.out, [tokenize(line) for line in lines])
-    return [args.infile], [args.out], None
 
 
 def _cmd_diff(args):
@@ -130,8 +128,6 @@ def _cmd_diff(args):
             tagged = prepend_domain(tagged, p.domain)
         out.append(tagged)
     write_token_lines(args.out, out)
-    inputs = [args.src, args.tgt] + ([args.domain] if args.domain else [])
-    return inputs, [args.out], None
 
 
 def _cmd_strip(args):
@@ -144,7 +140,6 @@ def _cmd_strip(args):
         except MalformedTagsError as exc:
             raise ValueError(f"{args.infile}:{n}: {exc}") from None
     write_token_lines(args.out, out)
-    return [args.infile], [args.out], None
 
 
 def _cmd_repair(args):
@@ -152,7 +147,6 @@ def _cmd_repair(args):
     sources = _read_untagged(args.src, "source")
     _check_same_length(args.infile, tagged_lines, args.src, sources)
     write_token_lines(args.out, [repair(t, s) for t, s in zip(tagged_lines, sources)])
-    return [args.infile, args.src], [args.out], None
 
 
 def _cmd_validate(args):
@@ -173,11 +167,8 @@ def _cmd_validate(args):
             }
         )
     print(f"{valid}/{len(records)} lines valid")
-    outputs = []
     if args.out:
         write_text(args.out, "".join(json.dumps(r) + "\n" for r in records))
-        outputs.append(args.out)
-    return [args.infile, args.src], outputs, None
 
 
 def _cmd_filter(args):
@@ -195,19 +186,11 @@ def _cmd_filter(args):
     for rule, count in report.drops.items():
         if count:
             print(f"  dropped {count}  {rule}")
-    outputs = [args.out_src, args.out_tgt] + (
-        [args.out_domain] if args.out_domain else []
-    )
     if args.report:
         _write_json(args.report, dataclasses.asdict(report))
-        outputs.append(args.report)
-    inputs = [args.src, args.tgt] + ([args.domain] if args.domain else [])
-    return inputs, outputs, None
 
 
 def _cmd_stats(args):
-    from .corpus_io import corpus_stats
-
     pairs = load_parallel(args.src, args.tgt, args.domain)
     st = corpus_stats(pairs)
     print(f"pairs                {st.pairs}")
@@ -217,12 +200,7 @@ def _cmd_stats(args):
     print(f"unique deletions     {st.unique_deletions}")
     print(f"unique insertions    {st.unique_insertions}")
     print(f"unique replacements  {st.unique_replacements}")
-    outputs = []
-    if args.json:
-        _write_json(args.json, dataclasses.asdict(st))
-        outputs.append(args.json)
-    inputs = [args.src, args.tgt] + ([args.domain] if args.domain else [])
-    return inputs, outputs, None
+    return dataclasses.asdict(st)
 
 
 def _cmd_train_ref(args):
@@ -239,7 +217,6 @@ def _cmd_train_ref(args):
         f"{len(lexicon.insertions)} insertion keys"
     )
     print(f"lm: order {lm.order}, vocab {len(lm.vocab)}")
-    return [args.src, args.tgt], [args.model], None
 
 
 _WORKER: dict = {}
@@ -257,6 +234,8 @@ def _decode_one(item: tuple[int, TokenSeq]):
 
 
 def _cmd_decode(args):
+    if args.kbest_size is not None and args.kbest_size < 1:
+        raise ValueError("--kbest-size must be >= 1")
     sources = _read_untagged(args.src, "source", allow_empty=False)
     bias = BiasVector.parse(args.bias) if args.bias else None
     cfg = DecodeConfig(
@@ -275,12 +254,10 @@ def _cmd_decode(args):
         results = [_decode_one(item) for item in items]
     all_hyps = [hyps for _, hyps in sorted(results)]
     write_token_lines(args.out, [list(hyps[0].tagged) for hyps in all_hyps])
-    outputs = [args.out]
     if args.target_out:
         write_token_lines(
             args.target_out, [strip_to_target(list(h[0].tagged)) for h in all_hyps]
         )
-        outputs.append(args.target_out)
     if args.kbest:
         k = args.kbest_size or args.beam
         records = [
@@ -289,8 +266,6 @@ def _cmd_decode(args):
             for hyp in hyps[:k]
         ]
         write_kbest(records, args.kbest)
-        outputs.append(args.kbest)
-    return [args.model, args.src], outputs, None
 
 
 def _dev_pairs(src_path: str, tgt_path: str) -> list[tuple[TokenSeq, GoldAnnotation]]:
@@ -328,20 +303,13 @@ def _cmd_tune(args):
     print(
         f"best: {b.del_open:.2f},{b.del_close:.2f},{b.ins_open:.2f},{b.ins_close:.2f}"
     )
-    outputs = []
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "best": dataclasses.asdict(result.best),
-                "curve": [
-                    {"bias": dataclasses.asdict(bias), "prf": _prf_dict(prf)}
-                    for bias, prf in result.curve
-                ],
-            },
-        )
-        outputs.append(args.json)
-    return [args.model, args.src, args.tgt], outputs, None
+    return {
+        "best": dataclasses.asdict(result.best),
+        "curve": [
+            {"bias": dataclasses.asdict(bias), "prf": dataclasses.asdict(prf)}
+            for bias, prf in result.curve
+        ],
+    }
 
 
 def _cmd_gleu(args):
@@ -350,21 +318,9 @@ def _cmd_gleu(args):
     refs = _read_untagged(args.ref, "reference")
     report = gleu(hyps, srcs, refs, order=args.order)
     print(f"GLEU {_pct(report.corpus)}")
-    outputs = []
     if args.sentence_out:
         write_text(args.sentence_out, "".join(f"{s:.6f}\n" for s in report.sentences))
-        outputs.append(args.sentence_out)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "corpus": report.corpus,
-                "order": report.order,
-                "sentences": list(report.sentences),
-            },
-        )
-        outputs.append(args.json)
-    return [args.hyp, args.src, args.ref], outputs, None
+    return {"corpus": report.corpus, "order": report.order, "sentences": list(report.sentences)}
 
 
 def _cmd_m2(args):
@@ -374,60 +330,42 @@ def _cmd_m2(args):
     report = m2_corpus(hyps, golds, args.max_unchanged, args.beta)
     o = report.overall
     print(f"P {_pct(o.precision)}  R {_pct(o.recall)}  F{args.beta} {_pct(o.f_beta)}")
-    outputs = []
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "overall": _prf_dict(o),
-                "sentences": [_prf_dict(s) for s in report.sentences],
-            },
-        )
-        outputs.append(args.json)
-    return [args.hyp, args.gold], outputs, None
+    return {
+        "overall": dataclasses.asdict(o),
+        "sentences": [dataclasses.asdict(s) for s in report.sentences],
+    }
 
 
 def _cmd_bootstrap(args):
     hyps_a = _read_untagged(args.hyp_a, "hypothesis")
     hyps_b = _read_untagged(args.hyp_b, "hypothesis")
     _check_same_length(args.hyp_a, hyps_a, args.hyp_b, hyps_b)
-    inputs = [args.hyp_a, args.hyp_b]
     if args.metric == "gleu":
+        if args.gold:
+            raise ValueError("--gold only applies to the m2 metric")
         if not (args.src and args.ref):
             raise ValueError("gleu bootstrap needs --src and --ref")
         srcs = _read_untagged(args.src, "source")
         refs = _read_untagged(args.ref, "reference")
         _check_same_length(args.hyp_a, hyps_a, args.src, srcs)
         _check_same_length(args.hyp_a, hyps_a, args.ref, refs)
-        stats_a = [
-            gleu_sentence_stats(h, s, r) for h, s, r in zip(hyps_a, srcs, refs)
-        ]
-        stats_b = [
-            gleu_sentence_stats(h, s, r) for h, s, r in zip(hyps_b, srcs, refs)
-        ]
-        inputs += [args.src, args.ref]
+
+        def stats(hyps):
+            return [gleu_sentence_stats(h, s, r) for h, s, r in zip(hyps, srcs, refs)]
     else:
+        if args.src or args.ref:
+            raise ValueError("--src and --ref only apply to the gleu metric")
         if not args.gold:
             raise ValueError("m2 bootstrap needs --gold")
         golds = load_m2_gold(args.gold)
         _check_same_length(args.hyp_a, hyps_a, args.gold, golds)
-        stats_a = [
-            m2_maxmatch(h, g, args.max_unchanged, args.beta)
-            for h, g in zip(hyps_a, golds)
-        ]
-        stats_b = [
-            m2_maxmatch(h, g, args.max_unchanged, args.beta)
-            for h, g in zip(hyps_b, golds)
-        ]
-        inputs.append(args.gold)
+
+        def stats(hyps):
+            return [m2_maxmatch(h, g, args.max_unchanged, args.beta) for h, g in zip(hyps, golds)]
+
     report = paired_bootstrap(
-        stats_a,
-        stats_b,
-        metric=args.metric,
-        resamples=args.resamples,
-        level=args.level,
-        seed=args.seed,
-        beta=args.beta,
+        stats(hyps_a), stats(hyps_b), metric=args.metric, resamples=args.resamples,
+        level=args.level, seed=args.seed, beta=args.beta,
     )
     print(f"{args.metric} A {_pct(report.score_a)}  B {_pct(report.score_b)}")
     print(
@@ -438,14 +376,12 @@ def _cmd_bootstrap(args):
         print(f"significant at level {report.level}: system {report.better} better")
     else:
         print(f"not significant at level {report.level}")
-    outputs = []
-    if args.json:
-        _write_json(args.json, dataclasses.asdict(report))
-        outputs.append(args.json)
-    return inputs, outputs, args.seed
+    return dataclasses.asdict(report)
 
 
 def _cmd_analyze(args):
+    if bool(args.train_src) != bool(args.train_tgt):
+        raise ValueError("--train-src and --train-tgt go together")
     hyps = _read_untagged(args.hyp, "hypothesis")
     golds = load_m2_gold(args.gold)
     _check_same_length(args.hyp, hyps, args.gold, golds)
@@ -458,7 +394,7 @@ def _cmd_analyze(args):
                 f"annotator {args.annotator} missing for source {ann.source!r}"
             )
         gold_sets.append(ann.annotators[args.annotator])
-    if args.train_src and args.train_tgt:
+    if args.train_src:
         train = load_parallel(args.train_src, args.train_tgt)
         freq = build_freq_table([(list(p.source), list(p.target)) for p in train])
     else:
@@ -468,27 +404,17 @@ def _cmd_analyze(args):
     print(format_bucket_report(buckets))
     print()
     print(format_kind_report(kinds))
-    outputs = []
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "buckets": {
-                    name: {
-                        "gold_count": row.gold_count,
-                        "unique_instances": row.unique_instances,
-                        "prf": _prf_dict(row.prf),
-                    }
-                    for name, row in buckets.rows.items()
-                },
-                "kinds": {k: _prf_dict(v) for k, v in kinds.items()},
-            },
-        )
-        outputs.append(args.json)
-    inputs = [args.hyp, args.gold] + (
-        [args.train_src, args.train_tgt] if args.train_src and args.train_tgt else []
-    )
-    return inputs, outputs, None
+    return {
+        "buckets": {
+            name: {
+                "gold_count": row.gold_count,
+                "unique_instances": row.unique_instances,
+                "prf": dataclasses.asdict(row.prf),
+            }
+            for name, row in buckets.rows.items()
+        },
+        "kinds": {k: dataclasses.asdict(v) for k, v in kinds.items()},
+    }
 
 
 def _cmd_rerank(args):
@@ -500,7 +426,6 @@ def _cmd_rerank(args):
         if rec.sid not in best:
             best[rec.sid] = list(rec.tokens)
     lines = list(best.values())
-    inputs = [args.kbest]
     if args.src:
         sources = _read_untagged(args.src, "source")
         expected = set(range(len(sources)))
@@ -512,13 +437,9 @@ def _cmd_rerank(args):
                 f"{args.src}; missing {missing[:5]}, unexpected {extra[:5]}"
             )
         lines = [repair(best[sid], s) for sid, s in enumerate(sources)]
-        inputs.append(args.src)
     write_token_lines(args.out, lines)
-    outputs = [args.out]
     if args.kbest_out:
         write_kbest(reranked, args.kbest_out)
-        outputs.append(args.kbest_out)
-    return inputs, outputs, None
 
 
 # ---------------------------------------------------------------------------
@@ -532,38 +453,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gecdiff {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, reads: str, writes: str) -> argparse.ArgumentParser:
+        """``reads`` and ``writes`` name the file arguments in manifest order."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, reads=reads.split(), writes=writes.split())
         p.add_argument("--manifest", help="manifest path (default: next to output or first input)")
         return p
 
-    p = add("tokenize", _cmd_tokenize, "tokenize raw text lines")
+    p = add("tokenize", _cmd_tokenize, "tokenize raw text lines", reads="infile", writes="out")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("diff", _cmd_diff, "encode parallel text as tagged diffs")
+    p = add("diff", _cmd_diff, "encode parallel text as tagged diffs",
+            reads="src tgt domain", writes="out")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--domain", help="sidecar domain-label file")
     p.add_argument("--out", required=True)
 
-    p = add("strip", _cmd_strip, "project tagged lines to one side")
+    p = add("strip", _cmd_strip, "project tagged lines to one side", reads="infile", writes="out")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--side", choices=["target", "source"], default="target")
     p.add_argument("--out", required=True)
 
-    p = add("repair", _cmd_repair, "project tagged lines onto their sources")
+    p = add("repair", _cmd_repair, "project tagged lines onto their sources",
+            reads="infile src", writes="out")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("validate", _cmd_validate, "check tagged lines against sources")
+    p = add("validate", _cmd_validate, "check tagged lines against sources",
+            reads="infile src", writes="out")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--out", help="per-line JSONL report")
 
-    p = add("filter", _cmd_filter, "length or cleanup filtering")
+    p = add("filter", _cmd_filter, "length or cleanup filtering",
+            reads="src tgt domain", writes="out_src out_tgt out_domain report")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--domain")
@@ -574,13 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-domain")
     p.add_argument("--report", help="JSON filter report")
 
-    p = add("stats", _cmd_stats, "corpus edit statistics")
+    p = add("stats", _cmd_stats, "corpus edit statistics", reads="src tgt domain", writes="json")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--domain")
     p.add_argument("--json")
 
-    p = add("train-ref", _cmd_train_ref, "train the reference corrector")
+    p = add("train-ref", _cmd_train_ref, "train the reference corrector",
+            reads="src tgt", writes="model")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--model", required=True)
@@ -588,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interp", type=float, default=0.5)
     p.add_argument("--unk-mass", type=float, default=0.1)
 
-    p = add("decode", _cmd_decode, "beam-decode tagged corrections")
+    p = add("decode", _cmd_decode, "beam-decode tagged corrections",
+            reads="model src", writes="out target_out kbest")
     p.add_argument("--model", required=True)
     p.add_argument("--src", required=True, help="tokenized source lines")
     p.add_argument("--out", required=True, help="1-best tagged lines")
@@ -601,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kbest-size", type=int)
     p.add_argument("--threads", type=int, default=1)
 
-    p = add("tune", _cmd_tune, "grid-search the bias on dev data")
+    p = add("tune", _cmd_tune, "grid-search the bias on dev data",
+            reads="model src tgt", writes="json")
     p.add_argument("--model", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
@@ -613,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--json")
 
-    p = add("gleu", _cmd_gleu, "corpus GLEU with source penalty")
+    p = add("gleu", _cmd_gleu, "corpus GLEU with source penalty",
+            reads="hyp src ref", writes="sentence_out json")
     p.add_argument("--hyp", required=True)
     p.add_argument("--src", required=True)
     p.add_argument("--ref", required=True)
@@ -621,14 +551,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sentence-out")
     p.add_argument("--json")
 
-    p = add("m2", _cmd_m2, "MaxMatch F-score against gold edits")
+    p = add("m2", _cmd_m2, "MaxMatch F-score against gold edits", reads="hyp gold", writes="json")
     p.add_argument("--hyp", required=True)
     p.add_argument("--gold", required=True, help="gold edit file")
     p.add_argument("--max-unchanged", type=int, default=2)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--json")
 
-    p = add("bootstrap", _cmd_bootstrap, "paired significance test")
+    p = add("bootstrap", _cmd_bootstrap, "paired significance test",
+            reads="hyp_a hyp_b src ref gold", writes="json")
     p.add_argument("--hyp-a", required=True)
     p.add_argument("--hyp-b", required=True)
     p.add_argument("--metric", choices=["gleu", "m2"], default="gleu")
@@ -642,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--json")
 
-    p = add("analyze", _cmd_analyze, "bucket and kind error reports")
+    p = add("analyze", _cmd_analyze, "bucket and kind error reports",
+            reads="hyp gold train_src train_tgt", writes="json")
     p.add_argument("--hyp", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--train-src", help="training pairs for the frequency table")
@@ -651,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--json")
 
-    p = add("rerank", _cmd_rerank, "re-rank a k-best dump under a bias")
+    p = add("rerank", _cmd_rerank, "re-rank a k-best dump under a bias",
+            reads="kbest src", writes="out kbest_out")
     p.add_argument("--kbest", required=True)
     p.add_argument("--bias")
     p.add_argument("--out", required=True, help="best sequence per id")
@@ -662,25 +595,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    given = vars(args)
     try:
-        inputs, outputs, seed = args.func(args)
+        report = args.func(args)
+        if given.get("json"):
+            _write_json(args.json, report)
+        inputs = [given[k] for k in args.reads if given[k]]
+        outputs = [given[k] for k in args.writes if given[k]]
         manifest_path = args.manifest
         if manifest_path is None:
             base = outputs[0] if outputs else f"{inputs[0]}.{args.cmd}"
             manifest_path = base + ".manifest.json"
-        config = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("func", "manifest", "cmd") and not callable(v)
-        }
         manifest = RunManifest(
             subcommand=args.cmd,
-            config=config,
+            config={
+                k: v
+                for k, v in given.items()
+                if k not in ("func", "reads", "writes", "manifest", "cmd")
+            },
             inputs=inputs,
             outputs=outputs,
-            seed=seed,
+            seed=given.get("seed"),
             version=__version__,
         )
         _write_json(manifest_path, dataclasses.asdict(manifest))

@@ -405,7 +405,7 @@ def load_m2_gold(path: str) -> list[GoldAnnotation]:
             if not 0 <= start <= end <= len(source):
                 raise ValueError(f"{where}: span {start} {end} outside source")
             edits.setdefault(annotator, []).append(
-                Edit(start, end, tuple(source[start:end]), replacement)
+                Edit(start, end, tuple(source[start:end]), replacement, words(kind))
             )
         else:
             raise ValueError(f"{where}: unrecognized line {line!r}")
@@ -429,8 +429,11 @@ def write_m2_gold(path: str, annotations: list[GoldAnnotation]) -> None:
                 repl = " ".join(e.replacement)
                 if "|||" in repl:
                     raise ValueError(f"replacement not representable: {e.replacement!r}")
+                if "|||" in e.error_type:
+                    raise ValueError(f"error type not representable: {e.error_type!r}")
                 lines.append(
-                    f"A {e.start} {e.end}|||UNK|||{repl}|||REQUIRED|||-NONE-|||{annotator}"
+                    f"A {e.start} {e.end}|||{e.error_type}|||{repl}"
+                    f"|||REQUIRED|||-NONE-|||{annotator}"
                 )
         lines.append("")
     write_text(path, "\n".join(lines))

@@ -10,7 +10,7 @@ windows as integer spans instead of building them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .diff_codec import parse_spans
@@ -42,13 +42,15 @@ class Edit:
     """A span edit: replace source[start:end] with ``replacement``.
 
     ``deleted`` carries the source-side content so an edit is self-contained;
-    it must equal ``source[start:end]``.
+    it must equal ``source[start:end]``.  ``error_type`` is the M2 type label
+    of a gold edit; it takes no part in equality, ordering, hashing or repr.
     """
 
     start: int
     end: int
     deleted: tuple[str, ...]
     replacement: tuple[str, ...]
+    error_type: str = field(default="UNK", compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.end < self.start:

@@ -188,6 +188,8 @@ def gleu(
     refs: list[TokenSeq],
     order: int = GLEU_ORDER,
 ) -> GleuReport:
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if not (len(hyps) == len(srcs) == len(refs)):
         raise ValueError(
             f"aligned inputs required: {len(hyps)} hyps, {len(srcs)} srcs, {len(refs)} refs"

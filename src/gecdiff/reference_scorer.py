@@ -225,27 +225,20 @@ class RefScorer:
     ``edit_weight`` scales span-opening mass against the copy probability
     (saturating in the evidence count), ``repl_open_weight`` pushes the
     insertion that completes a replacement, and ``close_weight`` favors
-    closing a span at a complete lexicon phrase over extending it.
+    closing a span at a complete lexicon phrase over extending it.  Only
+    ``edit_weight`` is a parameter; the other weights are fixed.
     """
 
-    def __init__(
-        self,
-        lexicon: ConfusionLexicon,
-        lm: NGramLM,
-        copy_weight: float = 1.0,
-        edit_weight: float = 0.25,
-        repl_open_weight: float = 2.0,
-        close_weight: float = 2.0,
-        saturation: float = 2.0,
-    ):
+    copy_weight = 1.0
+    repl_open_weight = 2.0
+    close_weight = 2.0
+    saturation = 2.0
+
+    def __init__(self, lexicon: ConfusionLexicon, lm: NGramLM, edit_weight: float = 0.25):
         lexicon.check()
         self.lexicon = lexicon
         self.lm = lm
-        self.copy_weight = copy_weight
         self.edit_weight = edit_weight
-        self.repl_open_weight = repl_open_weight
-        self.close_weight = close_weight
-        self.saturation = saturation
         # merged deletion evidence: pure deletions plus replacement sources
         self.del_mass: dict[tuple[str, ...], float] = Counter()
         for phrase, count in lexicon.deletions.items():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gecdiff.cli import main
+from gecdiff.cli import build_parser, main
 from gecdiff.corpus_io import atomic_write
 
 
@@ -612,3 +612,154 @@ def test_filter_out_domain_without_domain_writes_nothing(capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: pair 1 has no domain label\n"
     assert sorted(os.listdir()) == ["s.txt", "t.txt"]
+
+
+# Every subcommand's manifest, with and without its optional file flags: the
+# file arguments given, in a fixed order, the seed, and the config keys.
+CONFIG_KEYS = {
+    "tokenize": "infile out",
+    "diff": "domain out src tgt",
+    "strip": "infile out side",
+    "repair": "infile out src",
+    "validate": "infile out src",
+    "filter": "domain out_domain out_src out_tgt preset report rules src tgt",
+    "stats": "domain json src tgt",
+    "train-ref": "interp model order src tgt unk_mass",
+    "decode": "beam bias constrained kbest kbest_size max_len model out src target_out threads",
+    "tune": "beam beta constrained grid_step json max_unchanged model src tgt untied",
+    "gleu": "hyp json order ref sentence_out src",
+    "m2": "beta gold hyp json max_unchanged",
+    "bootstrap": "beta gold hyp_a hyp_b json level max_unchanged metric ref resamples seed src",
+    "analyze": "annotator beta gold hyp json train_src train_tgt",
+    "rerank": "bias kbest kbest_out out src",
+}
+
+_TUNE = "tune --model model.json --src test.src --tgt test.ref --grid-step 0.5"
+_BOOT_GLEU = "bootstrap --hyp-a hyp.txt --hyp-b base.txt --src test.src --ref test.ref"
+_BOOT_M2 = "bootstrap --hyp-a hyp.txt --hyp-b base.txt --metric m2 --gold test.m2"
+_ANALYZE = "analyze --hyp hyp.txt --gold test.m2"
+_DECODE = "decode --model model.json --src test.src --out o.txt --beam 2"
+
+# (argv, manifest path without the .manifest.json a default path ends in,
+#  inputs, outputs, seed)
+MANIFEST_CASES = [
+    ("tokenize --in raw.txt --out tok.txt", "tok.txt", "raw.txt", "tok.txt", None),
+    ("tokenize --in raw.txt --out tok.txt --manifest run.json", "run.json",
+     "raw.txt", "tok.txt", None),
+    ("diff --src train.src --tgt train.tgt --out d.txt", "d.txt",
+     "train.src train.tgt", "d.txt", None),
+    ("diff --src train.src --tgt train.tgt --domain train.dom --out d.txt", "d.txt",
+     "train.src train.tgt train.dom", "d.txt", None),
+    ("strip --in tagged.txt --out s.txt", "s.txt", "tagged.txt", "s.txt", None),
+    ("repair --in tagged.txt --src test.src --out r.txt", "r.txt",
+     "tagged.txt test.src", "r.txt", None),
+    ("validate --in tagged.txt --src test.src", "tagged.txt.validate",
+     "tagged.txt test.src", "", None),
+    ("validate --in tagged.txt --src test.src --out v.jsonl", "v.jsonl",
+     "tagged.txt test.src", "v.jsonl", None),
+    ("filter --src train.src --tgt train.tgt --preset conll --out-src f.src --out-tgt f.tgt",
+     "f.src", "train.src train.tgt", "f.src f.tgt", None),
+    ("filter --src train.src --tgt train.tgt --domain train.dom --preset lang8 "
+     "--out-src f.src --out-tgt f.tgt --out-domain f.dom --report f.json",
+     "f.src", "train.src train.tgt train.dom", "f.src f.tgt f.dom f.json", None),
+    ("stats --src train.src --tgt train.tgt", "train.src.stats",
+     "train.src train.tgt", "", None),
+    ("stats --src train.src --tgt train.tgt --domain train.dom --json st.json", "st.json",
+     "train.src train.tgt train.dom", "st.json", None),
+    ("train-ref --src train.src --tgt train.tgt --model m.json", "m.json",
+     "train.src train.tgt", "m.json", None),
+    (_DECODE, "o.txt", "model.json test.src", "o.txt", None),
+    (_DECODE + " --target-out o.hyp --kbest o.kbest", "o.txt",
+     "model.json test.src", "o.txt o.hyp o.kbest", None),
+    (_TUNE, "model.json.tune", "model.json test.src test.ref", "", None),
+    (_TUNE + " --json t.json", "t.json", "model.json test.src test.ref", "t.json", None),
+    ("gleu --hyp hyp.txt --src test.src --ref test.ref", "hyp.txt.gleu",
+     "hyp.txt test.src test.ref", "", None),
+    ("gleu --hyp hyp.txt --src test.src --ref test.ref --sentence-out g.txt --json g.json",
+     "g.txt", "hyp.txt test.src test.ref", "g.txt g.json", None),
+    ("m2 --hyp hyp.txt --gold test.m2", "hyp.txt.m2", "hyp.txt test.m2", "", None),
+    ("m2 --hyp hyp.txt --gold test.m2 --json m.json", "m.json",
+     "hyp.txt test.m2", "m.json", None),
+    (_BOOT_GLEU, "hyp.txt.bootstrap", "hyp.txt base.txt test.src test.ref", "", 13),
+    (_BOOT_M2 + " --seed 7 --json b.json", "b.json", "hyp.txt base.txt test.m2", "b.json", 7),
+    (_BOOT_M2 + " --manifest run.json", "run.json", "hyp.txt base.txt test.m2", "", 13),
+    (_ANALYZE, "hyp.txt.analyze", "hyp.txt test.m2", "", None),
+    (_ANALYZE + " --train-src train.src --train-tgt train.tgt --json a.json", "a.json",
+     "hyp.txt test.m2 train.src train.tgt", "a.json", None),
+    ("rerank --kbest fx.kbest --out rr.txt", "rr.txt", "fx.kbest", "rr.txt", None),
+    ("rerank --kbest fx.kbest --bias 0.5 --out rr.txt --src test.src --kbest-out rr.kbest",
+     "rr.txt", "fx.kbest test.src", "rr.txt rr.kbest", None),
+]
+
+
+@pytest.fixture
+def cli_files():
+    write("raw.txt", "Hello, world\n")
+    write("train.dom", "news\nweb\nnews\n")
+    write("test.src", TEST_SRC)
+    write("test.ref", TEST_REF)
+    write("test.m2", TEST_GOLD)
+    write("hyp.txt", TEST_REF)
+    write("base.txt", TEST_SRC)
+    write("tagged.txt", "<del> teh </del> <ins> the </ins> mouse sat\nteh dog sat\n")
+    train_model()
+    argv = ["decode", "--model", "model.json", "--src", "test.src", "--out", "fx.txt",
+            "--beam", "2", "--kbest", "fx.kbest"]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, where, inputs, outputs, seed", MANIFEST_CASES, ids=[c[0] for c in MANIFEST_CASES]
+)
+def test_manifest_lists_the_files_given(cli_files, argv, where, inputs, outputs, seed):
+    assert main(argv.split()) == 0
+    path = where if "--manifest" in argv else where + ".manifest.json"
+    m = json.loads(Path(path).read_text())
+    cmd = argv.split()[0]
+    assert m["subcommand"] == cmd
+    assert m["inputs"] == inputs.split()
+    assert m["outputs"] == outputs.split()
+    assert m["seed"] == seed
+    assert sorted(m["config"]) == CONFIG_KEYS[cmd].split()
+    for name in m["inputs"] + m["outputs"]:
+        assert Path(name).is_file()
+
+
+# Flags a run would otherwise ignore, and values that used to end in a wrong
+# answer or a traceback: each fails with one error line, exit 1 and no file.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_ANALYZE + " --train-src train.src", "--train-src and --train-tgt go together"),
+        (_ANALYZE + " --train-tgt train.tgt", "--train-src and --train-tgt go together"),
+        (_BOOT_GLEU + " --gold test.m2", "--gold only applies to the m2 metric"),
+        (_BOOT_M2 + " --src test.src", "--src and --ref only apply to the gleu metric"),
+        (_BOOT_M2 + " --ref test.ref", "--src and --ref only apply to the gleu metric"),
+        (_DECODE + " --kbest o.kbest --kbest-size 0", "--kbest-size must be >= 1"),
+        (_DECODE + " --kbest o.kbest --kbest-size -1", "--kbest-size must be >= 1"),
+        ("gleu --hyp hyp.txt --src test.src --ref test.ref --order 0", "order must be >= 1"),
+        ("gleu --hyp hyp.txt --src test.src --ref test.ref --order -2", "order must be >= 1"),
+    ],
+)
+def test_rejected_flag_combinations(cli_files, capsys, argv, message):
+    before = sorted(os.listdir())
+    capsys.readouterr()
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir()) == before
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_decode_handler_rejects_kbest_size_below_one(cli_files, size):
+    # --kbest-size -1 used to drop each sentence's last hypothesis, 0 to keep all
+    args = build_parser().parse_args([*_DECODE.split(), "--kbest", "o.kbest",
+                                      "--kbest-size", str(size)])
+    with pytest.raises(ValueError, match=r"^--kbest-size must be >= 1$"):
+        args.func(args)
+    assert not Path("o.kbest").exists()
+
+
+def test_decode_kbest_size_caps_records_per_sentence(cli_files):
+    assert main([*_DECODE.split(), "--kbest", "o.kbest", "--kbest-size", "1"]) == 0
+    sids = [json.loads(line)["id"] for line in Path("o.kbest").read_text().splitlines()]
+    assert sids == [0, 1]

@@ -354,10 +354,39 @@ class TestM2Gold:
         write_m2_gold(path, anns)
         assert load_m2_gold(path) == anns
 
+    def test_round_trip_keeps_error_types(self, tmp_path):
+        text = (
+            "S The cat sat on mat\n"
+            "A 1 2|||R:NOUN|||dog|||REQUIRED|||-NONE-|||0\n"
+            "A 4 4|||M:DET|||the|||REQUIRED|||-NONE-|||0\n"
+            "A 2 3|||R:VERB:SVA|||sits|||REQUIRED|||-NONE-|||1\n"
+            "A 3 4|||U:PREP||||||REQUIRED|||-NONE-|||1\n"
+        )
+        path = tmp_path / "in.m2"
+        path.write_text(text)
+        anns = load_m2_gold(str(path))
+        types = {a: [e.error_type for e in es] for a, es in anns[0].annotators.items()}
+        assert types == {0: ["R:NOUN", "M:DET"], 1: ["R:VERB:SVA", "U:PREP"]}
+        out = tmp_path / "out.m2"
+        write_m2_gold(str(out), anns)
+        assert out.read_text() == text
+        assert load_m2_gold(str(out)) == anns
+
+    def test_error_type_takes_no_part_in_equality(self):
+        typed = Edit(1, 2, ("cat",), ("dog",), "R:NOUN")
+        plain = Edit(1, 2, ("cat",), ("dog",))
+        assert plain.error_type == "UNK"
+        assert typed == plain and hash(typed) == hash(plain)
+        assert not typed < plain and not plain < typed
+
     def test_write_rejects_separator_in_token(self, tmp_path):
         ann = GoldAnnotation(["a|||b"], {0: []})
         with pytest.raises(ValueError):
             write_m2_gold(str(tmp_path / "out.m2"), [ann])
+        typed = GoldAnnotation(["a"], {0: [Edit(0, 1, ("a",), ("b",), "R|||X")]})
+        with pytest.raises(ValueError, match="error type not representable"):
+            write_m2_gold(str(tmp_path / "out.m2"), [typed])
+        assert not (tmp_path / "out.m2").exists()
 
 
 class TestCorpusStats:

@@ -172,6 +172,12 @@ class TestGleuCorpus:
         with pytest.raises(ValueError):
             gleu([], [], [])
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_rejected(self, order):
+        # an order of 0 used to end in ZeroDivisionError per sentence
+        with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+            gleu([["a", "b"]], [["a", "b"]], [["a", "b"]], order=order)
+
 
 def ann(source, *edit_lists):
     annotators = {i: list(edits) for i, edits in enumerate(edit_lists)}

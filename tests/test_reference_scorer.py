@@ -199,8 +199,8 @@ class TestRefScorer:
         assert sc.dist(state)[INS_OPEN] == 0.0
 
     def test_weight_knobs_pass_through(self):
-        sc = teh_scorer(edit_weight=0.5, close_weight=3.0)
-        assert sc.edit_weight == 0.5 and sc.close_weight == 3.0
+        sc = teh_scorer(edit_weight=0.5)
+        assert sc.edit_weight == 0.5
 
     def test_invalid_lexicon_rejected_at_build(self):
         bad = ConfusionLexicon({}, Counter({("a",): -1}), {})
