@@ -316,6 +316,8 @@ def _cmd_gleu(args):
     hyps = _read_untagged(args.hyp, "hypothesis")
     srcs = _read_untagged(args.src, "source")
     refs = _read_untagged(args.ref, "reference")
+    _check_same_length(args.hyp, hyps, args.src, srcs)
+    _check_same_length(args.hyp, hyps, args.ref, refs)
     report = gleu(hyps, srcs, refs, order=args.order)
     print(f"GLEU {_pct(report.corpus)}")
     if args.sentence_out:

@@ -93,11 +93,10 @@ class ScorerContract(Protocol):
 
     States must be hashable, ``dist(state)`` must depend on the state alone,
     and ``step(state, token)`` must be a pure function of its arguments.
-    ``beam_decode`` calls ``dist`` once per distinct state and reuses the
-    result for every beam item that reaches an equal state; that memo lasts
-    for one ``beam_decode`` call.  ``grid_search_tune`` also reuses both
-    results across the grid points of one dev sentence, and drops them when
-    it moves to the next sentence.
+    The decoder keeps both results in a table (``_Table``) and calls each
+    once per distinct argument: ``dist`` once per state, ``step`` once per
+    state and token.  The table lasts for one ``beam_decode`` call, or for
+    every grid point of one dev sentence inside ``grid_search_tune``.
     """
 
     def start(self, source: TokenSeq): ...
@@ -232,13 +231,40 @@ def _ranked_moves(
     return [(_safe_log(-r), t, p) for r, t, p in moves]
 
 
-def _tag_probs(dist: dict[str, float]) -> tuple[float, float, float, float]:
-    return (
-        dist.get(DEL_OPEN, 0.0),
-        dist.get(DEL_CLOSE, 0.0),
-        dist.get(INS_OPEN, 0.0),
-        dist.get(INS_CLOSE, 0.0),
-    )
+class _Table:
+    """Every scored state of one source, and every step taken from one.
+
+    A row holds what the decoder reads of a state: its distribution,
+    checked once; its tag probabilities; and its positive-probability
+    ``(token, p)`` moves.  Nothing in a row depends on the bias: offsets
+    touch only the ranking of tag moves, in ``_moves``.  Rows are plain
+    tuples that never point at each other.
+    """
+
+    def __init__(self, scorer: ScorerContract) -> None:
+        self.scorer = scorer
+        self.rows: dict = {}  # state -> (dist, tag probabilities, positive moves)
+        self.steps: dict = {}  # (state, token) -> next state
+
+    def row(self, state) -> tuple[dict[str, float], tuple, list[tuple[str, float]]]:
+        row = self.rows.get(state)
+        if row is None:
+            dist = self.scorer.dist(state)
+            _check_dist(dist)
+            tagp = (
+                dist.get(DEL_OPEN, 0.0),
+                dist.get(DEL_CLOSE, 0.0),
+                dist.get(INS_OPEN, 0.0),
+                dist.get(INS_CLOSE, 0.0),
+            )
+            row = self.rows[state] = (dist, tagp, [(t, p) for t, p in dist.items() if p > 0.0])
+        return row
+
+    def step(self, state, token: str):
+        key = (state, token)
+        if key not in self.steps:
+            self.steps[key] = self.scorer.step(state, token)
+        return self.steps[key]
 
 
 def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> list[Hypothesis]:
@@ -249,11 +275,11 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     token tuple in the final order, so decoding is fully deterministic for a
     deterministic scorer.
 
-    Each distinct scorer state is scored and checked once per call: its
-    distribution, tag probabilities and ranked positive-probability moves
-    are kept in a dict that is dropped when the call returns.  At beam 1
-    the search is a greedy walk (``_greedy_decode``) that keeps only each
-    state's best move; it returns exactly what the beam loop would.  A
+    Each distinct scorer state is scored and checked once, and each step
+    taken once, in a ``_Table`` made for this call; ``scorer`` may itself
+    be a table, which ``grid_search_tune`` hands in to share one across a
+    dev sentence's grid.  At beam 1 the search is a greedy walk
+    (``_greedy_decode``) that returns exactly what the beam loop would.  A
     source holding a tag or domain token raises ``ValueError``.
     """
     if not source:
@@ -269,34 +295,24 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
         )
     beam = cfg.beam
     offsets = cfg.bias.as_map() if cfg.bias is not None else None
+    table = scorer if isinstance(scorer, _Table) else _Table(scorer)
     if beam == 1:
-        return [_greedy_decode(scorer, source, max_len, constrained, offsets)]
+        return [_greedy_decode(table, source, max_len, constrained, offsets)]
 
-    # state -> (dist, tag probabilities, ranked positive-probability moves)
-    scored: dict = {}
-    live = [_Beam((), scorer.start(source), _Auto(), 0.0, 0.0, (), ())]
+    live = [_Beam((), table.scorer.start(source), _Auto(), 0.0, 0.0, (), ())]
     done: list[_Beam] = []
     for step_no in range(max_len):
         budget = max_len - step_no
         # (selection, token, parent, p, tag probabilities of the parent's step)
         pool: list[tuple[float, str, _Beam, float, tuple]] = []
         for item in live:
-            entry = scored.get(item.state)
-            if entry is None:
-                dist = scorer.dist(item.state)
-                _check_dist(dist)
-                positive = [(t, p) for t, p in dist.items() if p > 0.0]
-                entry = scored[item.state] = (
-                    dist, _tag_probs(dist), _ranked_moves(positive, offsets)
-                )
-            dist, tagp, moves = entry
+            dist, tagp, moves = table.row(item.state)
             if constrained:
                 mask = item.auto.allowed(source, dist, budget)
-                moves = [m for m in moves if m[1] in mask]
-                if not moves:  # only zero-probability moves are legal
-                    moves = _ranked_moves([(t, dist.get(t, 0.0)) for t in mask], offsets)
+                # only zero-probability moves are legal when no positive one is
+                moves = [m for m in moves if m[0] in mask] or [(t, dist.get(t, 0.0)) for t in mask]
             selection = item.selection
-            for log_rank, tok, p in moves[:beam]:
+            for log_rank, tok, p in _ranked_moves(moves, offsets)[:beam]:
                 pool.append((selection + log_rank, tok, item, p, tagp))
         if not pool:
             break
@@ -312,7 +328,7 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
                 done.append(_Beam(item.raw, None, item.auto, sel, score, logps, tagps))
             else:
                 auto = item.auto.advance(source, tok) if constrained else item.auto
-                state = scorer.step(item.state, tok)
+                state = table.step(item.state, tok)
                 live.append(_Beam(item.raw + (tok,), state, auto, sel, score, logps, tagps))
         if len(done) >= beam or not live:
             break
@@ -338,7 +354,7 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
 
 
 def _greedy_decode(
-    scorer: ScorerContract,
+    table: _Table,
     source: TokenSeq,
     max_len: int,
     constrained: bool,
@@ -347,15 +363,13 @@ def _greedy_decode(
     """``beam_decode`` at beam 1, as a greedy walk.
 
     At beam 1 the beam loop keeps only the head of one item's ranked moves,
-    so it walks this same path.  Here each distinct state's best positive
-    move is the min over ``_moves``, found once per call without a sort, and
-    only the chosen move's log is taken.  Under ``constrained`` the walk
-    takes the best move the mask permits: a positive one if any, else the
-    best zero-probability one; it stops when the mask is empty.
+    so it walks this same path.  Here each step's move is the min over
+    ``_moves``, found without a sort, and only the chosen move's log is
+    taken.  Under ``constrained`` the walk takes the best move the mask
+    permits: a positive one if any, else the best zero-probability one; it
+    stops when the mask is empty.
     """
-    # state -> (dist, tag probabilities, best positive-probability move)
-    scored: dict = {}
-    state = scorer.start(source)
+    state = table.scorer.start(source)
     auto = _Auto()
     raw: list[str] = []
     logps: list[float] = []
@@ -363,22 +377,13 @@ def _greedy_decode(
     selection = score = 0.0
     terminated = False
     for step_no in range(max_len):
-        entry = scored.get(state)
-        if entry is None:
-            dist = scorer.dist(state)
-            _check_dist(dist)
-            best = min(_moves([(t, p) for t, p in dist.items() if p > 0.0], offsets))
-            entry = scored[state] = (dist, _tag_probs(dist), best)
-        dist, tagp, move = entry
+        dist, tagp, moves = table.row(state)
         if constrained:
             mask = auto.allowed(source, dist, max_len - step_no)
-            if move[1] not in mask:
-                legal = [(t, dist.get(t, 0.0)) for t in mask]
-                if not legal:
-                    break
-                positive = [(t, p) for t, p in legal if p > 0.0]
-                move = min(_moves(positive or legal, offsets))
-        neg_rank, tok, p = move
+            moves = [m for m in moves if m[0] in mask] or [(t, dist.get(t, 0.0)) for t in mask]
+            if not moves:
+                break
+        neg_rank, tok, p = min(_moves(moves, offsets))
         selection += _safe_log(-neg_rank)
         logp = _safe_log(p)
         score += logp
@@ -390,7 +395,7 @@ def _greedy_decode(
         raw.append(tok)
         if constrained:
             auto = auto.advance(source, tok)
-        state = scorer.step(state, tok)
+        state = table.step(state, tok)
     return Hypothesis(
         tagged=tuple(repair(raw, source)),
         raw=tuple(raw),
@@ -421,34 +426,6 @@ def _grid_values(grid_step: float) -> list[float]:
     return [round(i * grid_step, 10) for i in range(k + 1)]
 
 
-class _MemoScorer:
-    """Caches a scorer's ``dist`` and ``step`` results for one source.
-
-    Sound because both are pure functions of their arguments (see
-    ``ScorerContract``); it lasts for the decodes of one dev sentence.
-    """
-
-    def __init__(self, scorer: ScorerContract) -> None:
-        self.scorer = scorer
-        self.dists: dict = {}
-        self.steps: dict = {}
-
-    def start(self, source: TokenSeq):
-        return self.scorer.start(source)
-
-    def dist(self, state) -> dict[str, float]:
-        dist = self.dists.get(state)
-        if dist is None:
-            dist = self.dists[state] = self.scorer.dist(state)
-        return dist
-
-    def step(self, state, token: str):
-        key = (state, token)
-        if key not in self.steps:
-            self.steps[key] = self.scorer.step(state, token)
-        return self.steps[key]
-
-
 def _first_argmax(prfs: list[PRF]) -> int:
     best, best_f = None, -1.0
     for i, prf in enumerate(prfs):
@@ -476,10 +453,12 @@ def grid_search_tune(
     replace the decode-and-score step (same signature) for curve injection
     or caching; it is called once per grid point, in grid order.  By
     default each dev sentence is 1-best-decoded at every bias of a sweep,
-    stripped, and MaxMatch-scored against gold, reusing that sentence's
-    scorer results; each distinct repaired 1-best is stripped once and each
-    distinct stripped one scored once.  Counts are pooled per bias in dev
-    order.
+    stripped, and MaxMatch-scored against gold.  All of a sentence's
+    decodes share one ``_Table``, so each of its states is scored and
+    checked once per sweep whatever the bias; the offsets touch only the
+    ranking of tag moves.  Each distinct repaired 1-best is stripped once
+    and each distinct stripped one scored once.  Counts are pooled per bias
+    in dev order.
     """
     if not dev:
         raise ValueError("dev set must be nonempty")
@@ -491,11 +470,11 @@ def grid_search_tune(
         cfgs = [replace(cfg, bias=bias) for bias in biases]
         counts = [[0.0, 0.0, 0.0] for _ in biases]
         for src, gold in dev:
-            memo = _MemoScorer(scorer)
+            table = _Table(scorer)
             scores: dict[tuple[str, ...], PRF] = {}  # stripped 1-best -> M2
             by_tagged: dict[tuple[str, ...], PRF] = {}  # repaired 1-best -> M2
             for bias_cfg, count in zip(cfgs, counts):
-                tagged = beam_decode(memo, src, bias_cfg)[0].tagged
+                tagged = beam_decode(table, src, bias_cfg)[0].tagged
                 prf = by_tagged.get(tagged)
                 if prf is None:
                     stripped = strip_to_target(list(tagged))

@@ -416,7 +416,8 @@ def paired_bootstrap(
     sums each column over the sample in index order, the order in which
     the corpus scores add them, so float counts give the same sums too.
     System A is reported significantly better when its win fraction (ties
-    counted half) reaches 1 − level, B when it falls to level.
+    counted half) reaches 1 − level, B when it falls to level; ``level``
+    must lie in (0, 0.5).
     """
     if len(stats_a) != len(stats_b):
         raise ValueError(f"mismatched lengths: {len(stats_a)} vs {len(stats_b)}")
@@ -424,6 +425,8 @@ def paired_bootstrap(
         raise ValueError("empty corpus")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
+    if not 0.0 < level < 0.5:  # from 0.5 up, A and B could both be significant
+        raise ValueError(f"level must be in (0, 0.5), got {level}")
     columns_a, score_a = _metric_columns(metric, stats_a, beta)
     columns_b, score_b = _metric_columns(metric, stats_b, beta)
     n = len(stats_a)

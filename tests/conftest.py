@@ -1,4 +1,8 @@
-"""Print the acceptance suite's verdict lines in pytest's terminal summary.
+"""Test-wide settings, and the acceptance suite's verdict lines in pytest's summary.
+
+Property tests run derandomized: Hypothesis seeds each test from the test
+itself and keeps no example database, so every run, in CI or locally, tries
+the same examples and a failure reproduces.
 
 Each test in ``tests/test_acceptance.py`` prints one ``[PASS]``/``[FAIL]``
 line.  Pytest captures that output per test, so the lines are read back from
@@ -9,6 +13,14 @@ end of the run.  Under ``-s`` nothing is captured and the lines print live.
 from __future__ import annotations
 
 import re
+
+try:
+    from hypothesis import settings
+except ImportError:  # the test extra is missing; only the property tests need it
+    pass
+else:
+    settings.register_profile("reproducible", derandomize=True, database=None)
+    settings.load_profile("reproducible")
 
 _VERDICT = re.compile(r"\[(?:PASS|FAIL)\] (\d\d) ")
 

@@ -447,6 +447,22 @@ class TestBootstrap:
         assert main(["bootstrap", "--hyp-a", "a.txt", "--hyp-b", "b.txt"]) == 1
         assert "--src" in capsys.readouterr().err
 
+    def test_level_out_of_range_exits_1(self, capsys):
+        # system B wins every resample; at --level 1.5 this printed "system A better"
+        write("a.txt", TEST_SRC)
+        write("b.txt", TEST_REF)
+        write("src.txt", TEST_SRC)
+        write("ref.txt", TEST_REF)
+        argv = ["bootstrap", "--hyp-a", "a.txt", "--hyp-b", "b.txt", "--metric", "gleu",
+                "--src", "src.txt", "--ref", "ref.txt", "--json", "bs.json"]
+        assert main(argv) == 0
+        assert "system B better" in capsys.readouterr().out
+        assert json.loads(Path("bs.json").read_text())["wins_b"] == 50
+        assert main(argv + ["--level", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: level must be in (0, 0.5), got 1.5\n"
+
     def test_seed_recorded_in_manifest(self):
         write("a.txt", TEST_REF)
         write("b.txt", TEST_SRC)
@@ -579,6 +595,16 @@ class TestLineErrors:
         self.fails_with(
             capsys, argv, f"{files[flag]}:1: reserved token in {what} at position 1: '<del>'"
         )
+
+    @pytest.mark.parametrize("flag", ["--src", "--ref"])
+    def test_gleu_names_file_whose_line_count_differs(self, capsys, flag):
+        # used to say "aligned inputs required: 1 hyps, 1 srcs, 2 refs"
+        files = {"--hyp": "hyp.txt", "--src": "src.txt", "--ref": "ref.txt"}
+        for name in files.values():
+            write(name, "the cat\n")
+        write(files[flag], "the cat\nthe dog\n")
+        argv = ["gleu"] + [x for kv in files.items() for x in kv]
+        self.fails_with(capsys, argv, f"hyp.txt has 1 lines, {files[flag]} has 2")
 
     @pytest.mark.parametrize(
         "flag, what",

@@ -1249,6 +1249,53 @@ class TestTuneReuse:
             assert max(oracle.sentence_calls.values()) > 2
             assert max(oracle.sentence_steps.values()) > 2
 
+    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_each_state_checked_once_per_sentence(self, monkeypatch, constrained, beam):
+        ref, sources = synthetic_ref_scorer(5, edit_weight=0.003)
+        cfg = DecodeConfig(beam=beam, constrained=constrained)
+        for inner, srcs in ((FuzzScorer(1), [SRC, ["a", "b"]]), (ref, sources)):
+            dev = tune_dev(inner, srcs + srcs[:1], seed=7)  # the first source comes again
+            want_result = oracle_grid_search_tune(inner, dev, cfg=cfg)
+            counting = CountingScorer(inner)
+            checks = Counter()
+
+            def counting_check(dist):
+                checks[counting.source] += 1
+                return _check_dist(dist)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(decode_bias, "_check_dist", counting_check)
+                assert grid_search_tune(counting, dev, cfg=cfg) == want_result
+            # one check per distinct state per sentence, whatever the bias
+            want = Counter(source for source, _ in counting.sentence_calls)
+            want[tuple(srcs[0])] *= 2
+            assert checks == want
+            assert sum(checks.values()) == sum(counting.calls.values())
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_malformed_distribution_raises_at_a_later_grid_point(self, constrained, beam):
+        ref, sources = synthetic_ref_scorer(5, edit_weight=0.003)
+        cfg = DecodeConfig(beam=beam, constrained=constrained)
+        dev = tune_dev(ref, sources, seed=7)
+        values = _grid_values(0.1)
+        for src, gold in dev:
+            seen = [CountingScorer(ref) for _ in values]
+            for probe, v in zip(seen, values):
+                beam_decode(probe, src, replace(cfg, bias=BiasVector.tied(v)))
+            later = [s for probe in seen[1:] for s in probe.calls if s not in seen[0].calls]
+            if later:
+                break
+        else:
+            pytest.fail("no state is first reached after the first grid point")
+        # a state the first grid point never reaches: a table that skipped
+        # checks on later grid points would let its bad distribution through
+        counting = CountingScorer(ref, bad_state=later[0])
+        with pytest.raises(ValueError, match="sums to"):
+            grid_search_tune(counting, [(src, gold)], cfg=cfg)
+        assert counting.calls[later[0]] == 1
+
     def test_untied_scores_each_state_once_per_sweep(self):
         ref, sources = synthetic_ref_scorer(5)
         dev = tune_dev(ref, sources, seed=8)

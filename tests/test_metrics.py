@@ -318,6 +318,18 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             paired_bootstrap(sa, sb, metric="bleu")
 
+    @pytest.mark.parametrize("level", [0.0, -0.05, 0.5, 1.5, float("nan")])
+    def test_level_outside_open_interval_rejected(self, level):
+        # at 1.5, a B that wins every resample used to be reported as A better
+        sa, sb = self.perfect_vs_noisy()
+        with pytest.raises(ValueError, match=r"^level must be in \(0, 0\.5\), got "):
+            paired_bootstrap(sb, sa, level=level)
+
+    def test_level_just_inside_interval_accepted(self):
+        sa, sb = self.perfect_vs_noisy()
+        for level in (1e-9, 0.49):
+            assert paired_bootstrap(sb, sa, level=level).better == "B"
+
 
 @given(
     st.integers(min_value=0, max_value=20),
