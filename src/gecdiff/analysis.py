@@ -152,7 +152,12 @@ def kind_report(
     return micro_prf(decisions, beta=beta)
 
 
-def _format_table(header: tuple[str, ...], body: list[tuple[str, ...]]) -> str:
+def pct(x: float) -> str:
+    """A fraction as a percentage with two decimals, as every report prints it."""
+    return f"{x * 100:.2f}"
+
+
+def format_table(header: tuple[str, ...], body: list[tuple[str, ...]]) -> str:
     """Aligned text table: first column left-justified, the rest right-justified."""
     rows = [header, *body]
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
@@ -168,28 +173,19 @@ def format_bucket_report(report: BucketReport) -> str:
     header = ("Bucket", "Gold", "Unique", "P", "R", "F")
     body = [
         (
-            b,
-            str(row.gold_count),
-            str(row.unique_instances),
-            f"{row.prf.precision * 100:.2f}",
-            f"{row.prf.recall * 100:.2f}",
-            f"{row.prf.f_beta * 100:.2f}",
+            b, str(row.gold_count), str(row.unique_instances),
+            pct(row.prf.precision), pct(row.prf.recall), pct(row.prf.f_beta),
         )
         for b, row in report.rows.items()
     ]
-    return _format_table(header, body)
+    return format_table(header, body)
 
 
 def format_kind_report(kinds: dict[str, PRF]) -> str:
     names = {"delete": "Deletions", "insert": "Insertions", "replace": "Replacements"}
     header = ("Kind", "P", "R", "F")
     body = [
-        (
-            names.get(kind, kind),
-            f"{prf.precision * 100:.2f}",
-            f"{prf.recall * 100:.2f}",
-            f"{prf.f_beta * 100:.2f}",
-        )
+        (names.get(kind, kind), pct(prf.precision), pct(prf.recall), pct(prf.f_beta))
         for kind, prf in sorted(kinds.items())
     ]
-    return _format_table(header, body)
+    return format_table(header, body)

@@ -25,7 +25,9 @@ from .analysis import (
     bucket_report,
     format_bucket_report,
     format_kind_report,
+    format_table,
     kind_report,
+    pct,
 )
 from .corpus_io import (
     PRESETS,
@@ -87,10 +89,6 @@ class RunManifest:
 
 def _write_json(path: str, obj) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _pct(x: float) -> str:
-    return f"{x * 100:.2f}"
 
 
 def _check_same_length(name_a: str, a: list, name_b: str, b: list) -> None:
@@ -292,13 +290,15 @@ def _cmd_tune(args):
         max_unchanged=args.max_unchanged,
         beta=args.beta,
     )
-    print("del_open  del_close  ins_open  ins_close  P       R       F")
-    for bias, prf in result.curve:
-        print(
-            f"{bias.del_open:<8.2f}  {bias.del_close:<9.2f}  {bias.ins_open:<8.2f}  "
-            f"{bias.ins_close:<9.2f}  {_pct(prf.precision):>6}  {_pct(prf.recall):>6}  "
-            f"{_pct(prf.f_beta):>6}"
+    header = ("del_open", "del_close", "ins_open", "ins_close", "P", "R", "F")
+    body = [
+        (
+            *(f"{v:.2f}" for v in dataclasses.astuple(bias)),
+            pct(prf.precision), pct(prf.recall), pct(prf.f_beta),
         )
+        for bias, prf in result.curve
+    ]
+    print(format_table(header, body))
     b = result.best
     print(
         f"best: {b.del_open:.2f},{b.del_close:.2f},{b.ins_open:.2f},{b.ins_close:.2f}"
@@ -319,7 +319,7 @@ def _cmd_gleu(args):
     _check_same_length(args.hyp, hyps, args.src, srcs)
     _check_same_length(args.hyp, hyps, args.ref, refs)
     report = gleu(hyps, srcs, refs, order=args.order)
-    print(f"GLEU {_pct(report.corpus)}")
+    print(f"GLEU {pct(report.corpus)}")
     if args.sentence_out:
         write_text(args.sentence_out, "".join(f"{s:.6f}\n" for s in report.sentences))
     return {"corpus": report.corpus, "order": report.order, "sentences": list(report.sentences)}
@@ -331,7 +331,7 @@ def _cmd_m2(args):
     _check_same_length(args.hyp, hyps, args.gold, golds)
     report = m2_corpus(hyps, golds, args.max_unchanged, args.beta)
     o = report.overall
-    print(f"P {_pct(o.precision)}  R {_pct(o.recall)}  F{args.beta} {_pct(o.f_beta)}")
+    print(f"P {pct(o.precision)}  R {pct(o.recall)}  F{args.beta} {pct(o.f_beta)}")
     return {
         "overall": dataclasses.asdict(o),
         "sentences": [dataclasses.asdict(s) for s in report.sentences],
@@ -369,7 +369,7 @@ def _cmd_bootstrap(args):
         stats(hyps_a), stats(hyps_b), metric=args.metric, resamples=args.resamples,
         level=args.level, seed=args.seed, beta=args.beta,
     )
-    print(f"{args.metric} A {_pct(report.score_a)}  B {_pct(report.score_b)}")
+    print(f"{args.metric} A {pct(report.score_a)}  B {pct(report.score_b)}")
     print(
         f"wins A {report.wins_a}  wins B {report.wins_b}  ties {report.ties}  "
         f"win fraction A {report.win_fraction_a:.3f}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, TextIO
 
 from .edit_extract import Edit, edits_from_tagged
-from .diff_codec import encode_diffs, parse_spans
+from .diff_codec import encode_diffs
 from .metrics import GoldAnnotation
 from .text_norm import TokenSeq, find_reserved, is_reserved_token, tokenize
 
@@ -33,7 +33,6 @@ class SentencePair:
     source: tuple[str, ...]
     target: tuple[str, ...]
     domain: str | None = None
-    paragraph: int | None = None
 
     def check(self) -> None:
         for side, toks in (("source", self.source), ("target", self.target)):
@@ -457,8 +456,8 @@ class CorpusStats:
 def corpus_stats(pairs: list[SentencePair]) -> CorpusStats:
     """Edit-density summary: how many pairs change, and how much.
 
-    Words-in-change counts tokens strictly inside diff spans (both sides);
-    the mean is over edited pairs only.
+    Words-in-change counts the deleted and inserted words of every edit,
+    the tokens strictly inside diff spans; the mean is over edited pairs only.
     """
     edited = 0
     span_tokens = 0
@@ -466,13 +465,12 @@ def corpus_stats(pairs: list[SentencePair]) -> CorpusStats:
     insertions: set[tuple[str, ...]] = set()
     replacements: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
     for p in pairs:
-        tagged = encode_diffs(list(p.source), list(p.target))
-        inside = sum(len(toks) for kind, toks in parse_spans(tagged) if kind in ("del", "ins"))
-        if inside == 0:
+        edits = edits_from_tagged(encode_diffs(list(p.source), list(p.target)))
+        if not edits:
             continue
         edited += 1
-        span_tokens += inside
-        for e in edits_from_tagged(tagged):
+        for e in edits:
+            span_tokens += len(e.deleted) + len(e.replacement)
             if e.kind == "delete":
                 deletions.add(e.deleted)
             elif e.kind == "insert":

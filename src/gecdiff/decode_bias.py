@@ -97,6 +97,9 @@ class ScorerContract(Protocol):
     once per distinct argument: ``dist`` once per state, ``step`` once per
     state and token.  The table lasts for one ``beam_decode`` call, or for
     every grid point of one dev sentence inside ``grid_search_tune``.
+    Each distinct state costs a row, so a state should hold only what
+    ``dist`` and ``step`` read: one position reached by two histories is
+    then one state.
     """
 
     def start(self, source: TokenSeq): ...
@@ -251,12 +254,7 @@ class _Table:
         if row is None:
             dist = self.scorer.dist(state)
             _check_dist(dist)
-            tagp = (
-                dist.get(DEL_OPEN, 0.0),
-                dist.get(DEL_CLOSE, 0.0),
-                dist.get(INS_OPEN, 0.0),
-                dist.get(INS_CLOSE, 0.0),
-            )
+            tagp = tuple(map(dist.__getitem__, TAG_TOKENS))
             row = self.rows[state] = (dist, tagp, [(t, p) for t, p in dist.items() if p > 0.0])
         return row
 
@@ -505,9 +503,6 @@ def grid_search_tune(
 
 # ---------------------------------------------------------------------------
 # k-best exchange format
-
-KBEST_FIELDS = ("id", "tokens", "probs", "tag_probs", "eos")
-
 
 @dataclass(frozen=True)
 class KBestRecord:

@@ -84,6 +84,11 @@ class ConfusionLexicon:
                     raise ValueError(f"nonpositive count for insertion {phrase!r}")
 
 
+def _ins_key(source: TokenSeq, i: int) -> str:
+    """The insertion-lexicon key of an insertion before ``source[i]``."""
+    return source[i - 1] if i > 0 else BOS
+
+
 def harvest(corpus: list[tuple[TokenSeq, TokenSeq]]) -> ConfusionLexicon:
     """Collect edit phrases from (source, target) pairs.
 
@@ -100,8 +105,7 @@ def harvest(corpus: list[tuple[TokenSeq, TokenSeq]]) -> ConfusionLexicon:
             elif e.kind == "delete":
                 lex.deletions[e.deleted] += 1
             else:
-                key = source[e.start - 1] if e.start > 0 else BOS
-                lex.insertions.setdefault(key, Counter())[e.replacement] += 1
+                lex.insertions.setdefault(_ins_key(source, e.start), Counter())[e.replacement] += 1
     return lex
 
 
@@ -207,15 +211,16 @@ def train_lm(
 
 
 class RefState(NamedTuple):
+    """A decoding position; a field its mode does not read holds its default."""
+
     src: tuple[str, ...]
     i: int  # next unconsumed source position
     mode: str  # plain | del | ins, as in diff_codec.NEXT_MODE
     ctx: tuple[str, ...]  # recent target-side tokens for the LM
-    del_start: int = 0
-    del_phrase: tuple[str, ...] | None = None  # the deletion just closed, while plain
-    ins_prefix: tuple[str, ...] = ()
-    repl_src: tuple[str, ...] | None = None  # replacement mode when set
-    ins_key: str | None = None
+    del_start: int = 0  # del: where the open deletion began
+    del_phrase: tuple[str, ...] | None = None  # plain: the deletion just closed
+    ins_prefix: tuple[str, ...] = ()  # ins: the words inserted so far
+    repl_src: tuple[str, ...] | None = None  # ins: the phrase being replaced
     done: bool = False
 
 
@@ -264,11 +269,10 @@ class RefScorer:
         return (ctx + (token,))[-(self.lm.order - 1) :]
 
     def _ins_table(self, state: RefState) -> Counter | None:
+        # a word inside an insertion never moves ``i``: the key is where it opened
         if state.repl_src is not None:
             return self.lexicon.replacements.get(state.repl_src)
-        if state.ins_key is not None:
-            return self.lexicon.insertions.get(state.ins_key)
-        return None
+        return self.lexicon.insertions.get(_ins_key(state.src, state.i))
 
     def dist(self, state: RefState) -> dict[str, float]:
         w: dict[str, float] = {}
@@ -287,8 +291,7 @@ class RefScorer:
                     w[DEL_OPEN] = self.edit_weight * self._saturate(mass)
             else:
                 w[EOS] = self.copy_weight * self.lm.prob(EOS, state.ctx)
-            key = src[i - 1] if i > 0 else BOS
-            ins_tab = self.lexicon.insertions.get(key)
+            ins_tab = self.lexicon.insertions.get(_ins_key(src, i))
             if ins_tab:
                 mass = sum(ins_tab.values())
                 w[INS_OPEN] = self.edit_weight * self._saturate(mass)
@@ -332,43 +335,35 @@ class RefScorer:
         return dist
 
     def step(self, state: RefState, token: str) -> RefState:
-        # states are built positionally: this runs once per beam survivor
-        src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key, done = state
+        # states are built positionally, each from its mode's fields alone:
+        # this runs once per beam survivor
+        src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, done = state
         if done:
             return state
         if token == EOS:
-            return RefState(
-                src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key, True
-            )
+            return RefState(src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, True)
         if token in TAG_TOKENS:
             nxt = NEXT_MODE.get((mode, token))
             if nxt is None:  # illegal here, and ``dist`` gives it probability 0
                 return state
             if nxt == "del":
-                return RefState(src, i, nxt, ctx, i, None, ins_prefix, repl_src, ins_key)
+                return RefState(src, i, nxt, ctx, i)
             if nxt == "ins":
                 # right after a deletion with replacement evidence: a replacement
                 repl = del_phrase if del_phrase in self.lexicon.replacements else None
-                key = src[i - 1] if i > 0 else BOS
-                return RefState(src, i, nxt, ctx, del_start, None, (), repl, key)
+                return RefState(src, i, nxt, ctx, 0, None, (), repl)
             if mode == "del":  # remember the deleted phrase for a replacement
-                phrase = tuple(src[del_start:i])
-                return RefState(
-                    src, i, nxt, ctx, del_start, phrase, ins_prefix, repl_src, ins_key
-                )
-            return RefState(src, i, nxt, ctx, del_start, del_phrase, (), None, None)
+                return RefState(src, i, nxt, ctx, 0, tuple(src[del_start:i]))
+            return RefState(src, i, nxt, ctx)
         if mode == "ins":
             ctx = self._push_ctx(ctx, token)
-            return RefState(
-                src, i, mode, ctx, del_start, del_phrase, ins_prefix + (token,), repl_src, ins_key
-            )
+            return RefState(src, i, mode, ctx, 0, None, ins_prefix + (token,), repl_src)
         # outside an insertion a word replays the next source token
         if i < len(src):
             i += 1
         if mode == "del":
-            return RefState(src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key)
-        ctx = self._push_ctx(ctx, token)
-        return RefState(src, i, mode, ctx, del_start, None, ins_prefix, repl_src, ins_key)
+            return RefState(src, i, mode, ctx, del_start)
+        return RefState(src, i, mode, self._push_ctx(ctx, token))
 
 
 def scorer(lexicon: ConfusionLexicon, lm: NGramLM, **weights: float) -> RefScorer:

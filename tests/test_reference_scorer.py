@@ -5,6 +5,7 @@ import random
 import re
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -305,7 +306,21 @@ class TestModelFiles:
 # RefScorer.dist and RefScorer.step as they were before the span grammar
 # table, kept verbatim as oracles (``self`` is a RefScorer).  Their modes are
 # out, del, postdel and ins; the scorer's are the grammar's plain, del and
-# ins, with postdel a plain state that remembers the deleted phrase.
+# ins, with postdel a plain state that remembers the deleted phrase.  Their
+# state type is RefState as it was then, span fields carried across modes.
+
+
+class OldState(NamedTuple):
+    src: tuple[str, ...]
+    i: int
+    mode: str
+    ctx: tuple[str, ...]
+    del_start: int = 0
+    del_phrase: tuple[str, ...] | None = None
+    ins_prefix: tuple[str, ...] = ()
+    repl_src: tuple[str, ...] | None = None
+    ins_key: str | None = None
+    done: bool = False
 
 
 def oracle_dist(self, state):
@@ -374,51 +389,56 @@ def oracle_step(self, state, token):
     if done:
         return state
     if token == EOS:
-        return RefState(
+        return OldState(
             src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key, True
         )
     if mode in ("out", "postdel"):
         if token == DEL_OPEN:
-            return RefState(src, i, "del", ctx, i, None, ins_prefix, repl_src, ins_key)
+            return OldState(src, i, "del", ctx, i, None, ins_prefix, repl_src, ins_key)
         if token == INS_OPEN:
             repl = None
             if mode == "postdel" and del_phrase in self.lexicon.replacements:
                 repl = del_phrase
             key = src[i - 1] if i > 0 else BOS
-            return RefState(src, i, "ins", ctx, del_start, None, (), repl, key)
+            return OldState(src, i, "ins", ctx, del_start, None, (), repl, key)
         if token in (DEL_CLOSE, INS_CLOSE):
-            return RefState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
+            return OldState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
         if i < len(src):
             i += 1
         ctx = self._push_ctx(ctx, token)
-        return RefState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
+        return OldState(src, i, "out", ctx, del_start, None, ins_prefix, repl_src, ins_key)
     if mode == "del":
         if token == DEL_CLOSE:
             phrase = tuple(src[del_start:i])
-            return RefState(
+            return OldState(
                 src, i, "postdel", ctx, del_start, phrase, ins_prefix, repl_src, ins_key
             )
         if token in (DEL_OPEN, INS_OPEN, INS_CLOSE):
             return state
         if i < len(src):
             i += 1
-        return RefState(
+        return OldState(
             src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, ins_key
         )
     # ins
     if token == INS_CLOSE:
-        return RefState(src, i, "out", ctx, del_start, del_phrase, (), None, None)
+        return OldState(src, i, "out", ctx, del_start, del_phrase, (), None, None)
     if token in (DEL_OPEN, DEL_CLOSE, INS_OPEN):
         return state
     ctx = self._push_ctx(ctx, token)
-    return RefState(
+    return OldState(
         src, i, mode, ctx, del_start, del_phrase, ins_prefix + (token,), repl_src, ins_key
     )
 
 
 def canon_state(old):
-    """The scorer state an oracle state stands for."""
-    return old._replace(mode="plain") if old.mode in ("out", "postdel") else old
+    """The scorer state an oracle state stands for: its mode's fields alone."""
+    src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, _, done = old
+    if mode == "del":
+        return RefState(src, i, mode, ctx, del_start, done=done)
+    if mode == "ins":
+        return RefState(src, i, mode, ctx, ins_prefix=ins_prefix, repl_src=repl_src, done=done)
+    return RefState(src, i, "plain", ctx, del_phrase=del_phrase, done=done)
 
 
 def edit_corpus(rng: random.Random) -> list:
@@ -453,7 +473,7 @@ def test_dist_and_step_match_oracle_on_random_walks(seed):
     for n in range(150):
         source = rng.choice(pairs)[0]
         new = sc.start(source if n % 2 else tuple(source))
-        old = RefState(src=tuple(source), i=0, mode="out", ctx=(BOS,) * (sc.lm.order - 1))
+        old = OldState(src=tuple(source), i=0, mode="out", ctx=(BOS,) * (sc.lm.order - 1))
         for _ in range(3 * len(source) + 10):
             assert canon_state(old) == new
             dist = sc.dist(new)
@@ -474,6 +494,63 @@ def test_dist_and_step_match_oracle_on_random_walks(seed):
             if tok == EOS:
                 assert new.done and sc.step(new, "w0") is new
                 break
+
+
+MODE_FIELDS = {"plain": {"del_phrase"}, "del": {"del_start"}, "ins": {"ins_prefix", "repl_src"}}
+
+
+def assert_mode_fields_only(state):
+    """Every span field outside the state's mode holds its default."""
+    for field, default in RefState._field_defaults.items():
+        if field != "done" and field not in MODE_FIELDS[state.mode]:
+            assert getattr(state, field) == default, (field, state)
+
+
+class RecordingScorer:
+    """A scorer that keeps every state it scores or steps to."""
+
+    def __init__(self, sc):
+        self.sc, self.states = sc, []
+
+    def start(self, source):
+        return self.sc.start(source)
+
+    def dist(self, state):
+        self.states.append(state)
+        return self.sc.dist(state)
+
+    def step(self, state, token):
+        self.states.append(self.sc.step(state, token))
+        return self.states[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reached_states_hold_only_their_modes_fields(seed):
+    # Random walks as in the oracle test above, then beam-10 constrained
+    # decodes: one decoding position is one state, whatever the history.
+    rng = random.Random(seed)
+    pairs = edit_corpus(rng)
+    sc = RecordingScorer(scorer(harvest(pairs), train_lm([t for _, t in pairs])))
+    words = sorted({w for s, t in pairs for w in s + t})
+    for _ in range(100):
+        source = rng.choice(pairs)[0]
+        state = sc.start(source)
+        for _ in range(3 * len(source) + 10):
+            dist = sc.dist(state)
+            for tok in (*TAG_TOKENS, EOS, *rng.sample(words, 3)):
+                sc.step(state, tok)
+            positive = [t for t, p in dist.items() if p > 0.0]
+            tok = rng.choice([*TAG_TOKENS, *source] if rng.random() < 0.1 else positive)
+            state = sc.step(state, tok)
+            if state.done:
+                break
+    for n, (source, _) in enumerate(pairs[:40]):
+        bias = BiasVector.tied(n % 4 / 4)
+        beam_decode(sc, source, DecodeConfig(beam=10, constrained=True, bias=bias))
+    assert {s.mode for s in sc.states} == {"plain", "del", "ins"}
+    assert any(s.repl_src for s in sc.states) and any(s.del_phrase for s in sc.states)
+    for state in sc.states:
+        assert_mode_fields_only(state)
 
 
 # train_lm as it was before it counted n-grams per order (one setdefault per
