@@ -96,10 +96,12 @@ class ScorerContract(Protocol):
     The decoder keeps both results in a table (``_Table``) and calls each
     once per distinct argument: ``dist`` once per state, ``step`` once per
     state and token.  The table lasts for one ``beam_decode`` call, or for
-    every grid point of one dev sentence inside ``grid_search_tune``.
-    Each distinct state costs a row, so a state should hold only what
-    ``dist`` and ``step`` read: one position reached by two histories is
-    then one state.
+    every grid point of one dev sentence inside ``grid_search_tune``.  A
+    state's row holds its positive moves in two halves: the non-tag moves,
+    ranked and logged once, and the tag moves, the only ones a bias ranks
+    again per call.  Each distinct state costs a row, so a state should
+    hold only what ``dist`` and ``step`` read: one position reached by two
+    histories is then one state.
     """
 
     def start(self, source: TokenSeq): ...
@@ -209,6 +211,18 @@ class _Beam(NamedTuple):
     tagps: tuple[tuple[float, float, float, float], ...]
 
 
+def _biased(p: float, token: str, offsets: dict[str, float]) -> float:
+    """``p`` plus the offset of ``token``: its ranking value under ``offsets``.
+
+    Only the tag tokens have an offset, and this is the one place one is
+    applied.  The decoder ranks moves on this value and adds its
+    ``_safe_log`` to a selection score; ``KBestRecord`` re-scores tag steps
+    with that log.  The log is taken apart so the greedy walk takes it only
+    for the move it keeps.
+    """
+    return p + offsets.get(token, 0.0)
+
+
 def _moves(
     candidates: Iterable[tuple[str, float]], offsets: dict[str, float] | None
 ) -> list[tuple[float, str, float]]:
@@ -222,47 +236,90 @@ def _moves(
     """
     if offsets is None:
         return [(-p, t, p) for t, p in candidates]
-    return [(-(p + offsets.get(t, 0.0)), t, p) for t, p in candidates]
+    return [(-_biased(p, t, offsets), t, p) for t, p in candidates]
 
 
 def _ranked_moves(
     candidates: Iterable[tuple[str, float]], offsets: dict[str, float] | None
 ) -> list[tuple[float, str, float]]:
-    """``(log of ranking value, token, p)`` in move order."""
+    """``(log of ranking value, token, p)`` in move order.
+
+    The move order as one list: a row's two halves merged under
+    ``offsets`` must read the same, which the tests check against this.
+    """
     moves = _moves(candidates, offsets)
     moves.sort()
     return [(_safe_log(-r), t, p) for r, t, p in moves]
 
 
+# A move as the decoder reads it: ``(-ranking value, token, p, log p, log of
+# ranking value)``.  Moves order as ``_moves`` does; the token decides a tie,
+# so the last three fields are never compared.
+_Move = tuple[float, str, float, float, float]
+_NO_MOVE: _Move = (math.inf, "", 0.0, 0.0, 0.0)  # ranks below every move
+
+
+def _tag_moves(tags: tuple[_Move, ...], offsets: dict[str, float] | None) -> Iterable[_Move]:
+    """A row's tag half under ``offsets``: each move ranked on ``p`` plus its offset."""
+    if offsets is None:
+        return tags
+    moves = []
+    for _, t, p, log_p, _ in tags:
+        value = _biased(p, t, offsets)
+        moves.append((-value, t, p, log_p, _safe_log(value)))
+    return moves
+
+
+def _zero_moves(
+    dist: dict[str, float], mask: set[str], offsets: dict[str, float] | None
+) -> list[_Move]:
+    """The moves ``mask`` permits, in move order, when none has a positive probability."""
+    moves = _moves(((t, dist.get(t, 0.0)) for t in mask), offsets)
+    moves.sort()
+    return [(r, t, p, _safe_log(p), _safe_log(-r)) for r, t, p in moves]
+
+
 class _Table:
     """Every scored state of one source, and every step taken from one.
 
-    A row holds what the decoder reads of a state: its distribution,
-    checked once; its tag probabilities; and its positive-probability
-    ``(token, p)`` moves.  Nothing in a row depends on the bias: offsets
-    touch only the ranking of tag moves, in ``_moves``.  Rows are plain
-    tuples that never point at each other.
+    A row holds what the decoder reads of a state, as the tuple
+    ``(dist, tagp, plain, tags, nexts)``: its distribution, checked once;
+    its tag probabilities in ``TAG_TOKENS`` order; its positive moves,
+    split in two halves; and the states its steps reach, by token.  The
+    bias-free half ``plain`` is the non-tag moves, ranked once with their
+    logs: an offset never touches them, since ``p + 0.0 == p``.  The tag
+    half ``tags`` is the tag moves, each with its log; only this half is
+    ranked again per call, under that call's offsets (``_tag_moves``).  A
+    row with no positive tag move needs no sort and no log after it is
+    made.  Rows are plain tuples that never point at each other.  The
+    halves are tuples too: kept as lists, they made the cyclic garbage
+    collector run about three times as often in a beam decode.
     """
 
     def __init__(self, scorer: ScorerContract) -> None:
         self.scorer = scorer
-        self.rows: dict = {}  # state -> (dist, tag probabilities, positive moves)
-        self.steps: dict = {}  # (state, token) -> next state
+        self.rows: dict = {}  # state -> (dist, tagp, plain, tags, nexts)
 
-    def row(self, state) -> tuple[dict[str, float], tuple, list[tuple[str, float]]]:
+    def row(self, state) -> tuple:
         row = self.rows.get(state)
         if row is None:
             dist = self.scorer.dist(state)
             _check_dist(dist)
+            plain, tags = [], []
+            for t, p in dist.items():
+                if p > 0.0:
+                    log_p = _safe_log(p)
+                    (tags if t in TAG_TOKENS else plain).append((-p, t, p, log_p, log_p))
+            plain.sort()
             tagp = tuple(map(dist.__getitem__, TAG_TOKENS))
-            row = self.rows[state] = (dist, tagp, [(t, p) for t, p in dist.items() if p > 0.0])
+            row = self.rows[state] = (dist, tagp, tuple(plain), tuple(tags), {})
         return row
 
-    def step(self, state, token: str):
-        key = (state, token)
-        if key not in self.steps:
-            self.steps[key] = self.scorer.step(state, token)
-        return self.steps[key]
+    def step(self, state, nexts: dict, token: str):
+        """The state ``token`` steps to from ``state``, whose row's ``nexts`` is given."""
+        if token not in nexts:
+            nexts[token] = self.scorer.step(state, token)
+        return nexts[token]
 
 
 def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> list[Hypothesis]:
@@ -276,9 +333,12 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     Each distinct scorer state is scored and checked once, and each step
     taken once, in a ``_Table`` made for this call; ``scorer`` may itself
     be a table, which ``grid_search_tune`` hands in to share one across a
-    dev sentence's grid.  At beam 1 the search is a greedy walk
-    (``_greedy_decode``) that returns exactly what the beam loop would.  A
-    source holding a tag or domain token raises ``ValueError``.
+    dev sentence's grid.  A row's non-tag moves come ranked and logged, so
+    an item's moves are the head of that half merged with its tag moves
+    under the offsets; only those are ranked per item.  At beam 1 the
+    search is a greedy walk (``_greedy_decode``) that returns exactly what
+    the beam loop would.  A source holding a tag or domain token raises
+    ``ValueError``.
     """
     if not source:
         raise ValueError("source must be nonempty")
@@ -301,32 +361,38 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     done: list[_Beam] = []
     for step_no in range(max_len):
         budget = max_len - step_no
-        # (selection, token, parent, p, tag probabilities of the parent's step)
-        pool: list[tuple[float, str, _Beam, float, tuple]] = []
+        # (selection, token, parent, p, log p, the parent's row)
+        pool: list[tuple[float, str, _Beam, float, float, tuple]] = []
         for item in live:
-            dist, tagp, moves = table.row(item.state)
+            row = table.row(item.state)
+            dist, _, plain, tags, _ = row
             if constrained:
                 mask = item.auto.allowed(source, dist, budget)
-                # only zero-probability moves are legal when no positive one is
-                moves = [m for m in moves if m[0] in mask] or [(t, dist.get(t, 0.0)) for t in mask]
+                plain = [m for m in plain if m[1] in mask]
+                tags = [m for m in tags if m[1] in mask]
+                if not (plain or tags):
+                    # only zero-probability moves are legal when no positive one is
+                    plain = _zero_moves(dist, mask, offsets)
+            if tags:
+                plain = sorted(chain(plain[:beam], _tag_moves(tags, offsets)))
             selection = item.selection
-            for log_rank, tok, p in _ranked_moves(moves, offsets)[:beam]:
-                pool.append((selection + log_rank, tok, item, p, tagp))
+            for _, tok, p, log_p, log_rank in plain[:beam]:
+                pool.append((selection + log_rank, tok, item, p, log_p, row))
         if not pool:
             break
         # every live raw has length step_no, so (raw, tok) orders as raw + (tok,)
         pool.sort(key=lambda x: (-x[0], x[2].raw, x[1]))
         live = []
-        for sel, tok, item, p, tagp in pool[:beam]:
-            logp = _safe_log(p)
-            logps = item.logps + (logp,)
+        for sel, tok, item, p, log_p, row in pool[:beam]:
+            _, tagp, _, _, nexts = row
+            logps = item.logps + (log_p,)
             tagps = item.tagps + (tagp,)
-            score = item.score + logp
+            score = item.score + log_p
             if tok == EOS:
                 done.append(_Beam(item.raw, None, item.auto, sel, score, logps, tagps))
             else:
                 auto = item.auto.advance(source, tok) if constrained else item.auto
-                state = table.step(item.state, tok)
+                state = table.step(item.state, nexts, tok)
                 live.append(_Beam(item.raw + (tok,), state, auto, sel, score, logps, tagps))
         if len(done) >= beam or not live:
             break
@@ -361,9 +427,10 @@ def _greedy_decode(
     """``beam_decode`` at beam 1, as a greedy walk.
 
     At beam 1 the beam loop keeps only the head of one item's ranked moves,
-    so it walks this same path.  Here each step's move is the min over
-    ``_moves``, found without a sort, and only the chosen move's log is
-    taken.  Under ``constrained`` the walk takes the best move the mask
+    so it walks this same path.  Here each step's move is the better of the
+    row's best plain move and its tag moves under ``offsets``: no list,
+    sort or log is made for a plain move, as the row holds them ranked and
+    logged.  Under ``constrained`` the walk takes the best move the mask
     permits: a positive one if any, else the best zero-probability one; it
     stops when the mask is empty.
     """
@@ -374,18 +441,30 @@ def _greedy_decode(
     tagps: list[tuple[float, float, float, float]] = []
     selection = score = 0.0
     terminated = False
+    rows = table.rows
     for step_no in range(max_len):
-        dist, tagp, moves = table.row(state)
+        # a hit skips the method call: this line runs once per step
+        dist, tagp, plain, tags, nexts = rows.get(state) or table.row(state)
         if constrained:
             mask = auto.allowed(source, dist, max_len - step_no)
-            moves = [m for m in moves if m[0] in mask] or [(t, dist.get(t, 0.0)) for t in mask]
-            if not moves:
-                break
-        neg_rank, tok, p = min(_moves(moves, offsets))
-        selection += _safe_log(-neg_rank)
-        logp = _safe_log(p)
-        score += logp
-        logps.append(logp)
+            plain = [m for m in plain if m[1] in mask]
+            tags = [m for m in tags if m[1] in mask]
+            if not (plain or tags):
+                plain = _zero_moves(dist, mask, offsets)
+                if not plain:
+                    break
+        # the head of the bias-free half against each tag move, in move order
+        neg_rank, tok, p, log_p, log_rank = plain[0] if plain else _NO_MOVE
+        for tag_rank, tag, tag_p, tag_log_p, tag_log_rank in tags:
+            if offsets is not None:
+                tag_rank, tag_log_rank = -_biased(tag_p, tag, offsets), None
+            if tag_rank < neg_rank or (tag_rank == neg_rank and tag < tok):
+                neg_rank, tok, p, log_p, log_rank = tag_rank, tag, tag_p, tag_log_p, tag_log_rank
+        if log_rank is None:  # a tag won on its offset: log only its ranking value
+            log_rank = _safe_log(-neg_rank)
+        selection += log_rank
+        score += log_p
+        logps.append(log_p)
         tagps.append(tagp)
         if tok == EOS:
             terminated = True
@@ -393,7 +472,7 @@ def _greedy_decode(
         raw.append(tok)
         if constrained:
             auto = auto.advance(source, tok)
-        state = table.step(state, tok)
+        state = nexts[tok] if tok in nexts else table.step(state, nexts, tok)
     return Hypothesis(
         tagged=tuple(repair(raw, source)),
         raw=tuple(raw),
@@ -551,7 +630,7 @@ class KBestRecord:
         if offsets and tags:
             logs = logs[:]
             for i in tags:
-                logs[i] = _safe_log(self.probs[i] + offsets.get(self.tokens[i], 0.0))
+                logs[i] = _safe_log(_biased(self.probs[i], self.tokens[i], offsets))
         return sum(logs)
 
     def selection_score(self, bias: BiasVector | None) -> float:

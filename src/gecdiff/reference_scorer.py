@@ -218,7 +218,7 @@ class RefState(NamedTuple):
     mode: str  # plain | del | ins, as in diff_codec.NEXT_MODE
     ctx: tuple[str, ...]  # recent target-side tokens for the LM
     del_start: int = 0  # del: where the open deletion began
-    del_phrase: tuple[str, ...] | None = None  # plain: the deletion just closed
+    del_phrase: tuple[str, ...] | None = None  # plain: the deletion just closed, if replaceable
     ins_prefix: tuple[str, ...] = ()  # ins: the words inserted so far
     repl_src: tuple[str, ...] | None = None  # ins: the phrase being replaced
     done: bool = False
@@ -348,12 +348,14 @@ class RefScorer:
                 return state
             if nxt == "del":
                 return RefState(src, i, nxt, ctx, i)
-            if nxt == "ins":
-                # right after a deletion with replacement evidence: a replacement
-                repl = del_phrase if del_phrase in self.lexicon.replacements else None
-                return RefState(src, i, nxt, ctx, 0, None, (), repl)
-            if mode == "del":  # remember the deleted phrase for a replacement
-                return RefState(src, i, nxt, ctx, 0, tuple(src[del_start:i]))
+            if nxt == "ins":  # right after a replaceable deletion: a replacement
+                return RefState(src, i, nxt, ctx, 0, None, (), del_phrase)
+            if mode == "del":
+                # only a phrase with replacement evidence is remembered: any
+                # other one would split a plain state that reads the same
+                phrase = tuple(src[del_start:i])
+                if phrase in self.lexicon.replacements:
+                    return RefState(src, i, nxt, ctx, 0, phrase)
             return RefState(src, i, nxt, ctx)
         if mode == "ins":
             ctx = self._push_ctx(ctx, token)

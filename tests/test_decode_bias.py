@@ -1349,3 +1349,135 @@ class TestTuneReuse:
             want.extend(dict.fromkeys(bests))  # distinct, in grid order
         assert calls == want
         assert len(calls) < 11 * len(dev)  # the grid repeats 1-bests
+
+
+# ---------------------------------------------------------------------------
+# split rows: the bias-free half is ranked and logged once per row
+
+
+class DyadicScorer(FuzzScorer):
+    """Probabilities in sixteenths, so ties under quarter offsets are exact.
+
+    A tag's probability plus an offset in quarters can equal a word's
+    probability, or another tag's plus its own offset, as the same float;
+    then the token alone decides.  ``","`` sorts before every tag and the
+    vocabulary after, so either side can win such a tie.  About a third of
+    the rows have no positive tag move.
+    """
+
+    def dist(self, state):
+        src, hist = state
+        rng = random.Random(f"{self.seed}|{hist!r}")
+        toks = [",", *self.vocab, *TAG_TOKENS, EOS]
+        units = dict.fromkeys(toks, 0)
+        units[EOS] = min(len(hist), 12)  # push termination
+        drawable = toks if rng.random() < 0.7 else [t for t in toks if t not in TAG_TOKENS]
+        for _ in range(16 - units[EOS]):
+            units[rng.choice(drawable)] += 1
+        return {t: u / 16 for t, u in units.items()}
+
+
+def row_kinds(dist, offsets):
+    """The adversarial kinds of one row under ``offsets``."""
+    plain = [p for t, p in dist.items() if p > 0.0 and t not in TAG_TOKENS]
+    tags = [(t, p) for t, p in dist.items() if p > 0.0 and t in TAG_TOKENS]
+    kinds = set()
+    if not tags:
+        kinds.add("no positive tag")
+    if offsets is None:
+        return kinds
+    biased = [(p + offsets[t], p) for t, p in tags]
+    if plain and any(v == max(plain) for v, _ in biased):
+        kinds.add("a tag ties the best word")
+    if any(v == w and p != q for i, (v, p) in enumerate(biased) for w, q in biased[:i]):
+        kinds.add("two tags tie after the offset")
+    return kinds
+
+
+def split_cases():
+    grid = [0.25, 0.5, 1.0]
+    biases = [
+        None,
+        BiasVector.tied(0.0),
+        *(BiasVector.tied(v) for v in grid),
+        BiasVector(0.25, 0.0, 0.5, 0.75),
+        BiasVector(0.5, 0.25, 0.0, 0.25),
+        BiasVector(0.7, 0.1, 0.5, 0.0),
+    ]
+    ref, ref_sources = synthetic_ref_scorer(3, edit_weight=0.003)
+    toy = [SRC, ["a", "b", "c", "a"]]
+    scorers = [
+        ("dyadic", [DyadicScorer(seed) for seed in range(4)], toy),
+        ("ties", [TieScorer(seed) for seed in range(2)], toy),
+        ("fuzz", [FuzzScorer(seed) for seed in range(2)], toy),
+        ("ref", [ref], ref_sources[:3]),
+    ]
+    for name, scs, sources in scorers:
+        for constrained in (False, True):
+            for beam in (1, 3, 10):
+                yield pytest.param(
+                    scs, sources, biases, constrained, beam,
+                    id=f"{name}-{'con' if constrained else 'free'}-beam{beam}",
+                )
+
+
+@pytest.mark.parametrize("scs,sources,biases,constrained,beam", list(split_cases()))
+def test_split_rows_decode_as_the_reference(scs, sources, biases, constrained, beam):
+    kinds = set()
+    for sc in scs:
+        for src in sources:
+            for bias in biases:
+                cfg = DecodeConfig(beam=beam, constrained=constrained, bias=bias)
+                table = decode_bias._Table(sc)
+                assert beam_decode(table, src, cfg) == oracle_beam_decode(sc, src, cfg)
+                offsets = bias.as_map() if bias is not None else None
+                for dist, _, plain, tags, _ in table.rows.values():
+                    kinds |= row_kinds(dist, offsets)
+                    # the halves merged under the offsets are every positive
+                    # move in move order, each with the log of its ranking value
+                    merged = sorted([*plain, *decode_bias._tag_moves(tags, offsets)])
+                    positive = [(t, p) for t, p in dist.items() if p > 0.0]
+                    want = _ranked_moves(positive, offsets)
+                    assert [(lr, t, p) for _, t, p, _, lr in merged] == want
+                    assert all(lp == _safe_log(p) for _, _, p, lp, _ in merged)
+    if isinstance(scs[0], DyadicScorer):
+        assert kinds == {
+            "no positive tag", "a tag ties the best word", "two tags tie after the offset"
+        }
+
+
+@pytest.mark.parametrize("beam", [1, 3])
+@pytest.mark.parametrize("grid_step", [0.5, 0.1, 0.05])
+def test_each_move_logged_once_per_row_whatever_the_grid(monkeypatch, grid_step, beam):
+    # Every log of a sentence's tune sweep: one per positive move of each
+    # distinct state, taken when its row is made, and at beam 1 one more per
+    # tag step of a 1-best, for the offset that ranked it.  No other move is
+    # logged again, however many biases the grid holds.
+    ref, ref_sources = synthetic_ref_scorer(3, edit_weight=0.003)
+    tagless = FuzzScorer(6, zero_tags=TAG_TOKENS)  # every positive move is a word
+    cases = [(tagless, [SRC, ["a", "b"], ["c", "a", "b", "c"]]), (ref, ref_sources)]
+    cfg = DecodeConfig(beam=beam)
+    for inner, sources in cases:
+        if beam > 1 and inner is ref:
+            continue  # the beam loop logs each tag move it ranks
+        dev = tune_dev(inner, sources, seed=3)
+        want = Counter()
+        for src, _ in dev:
+            for v in _grid_values(grid_step):
+                hyp = beam_decode(inner, src, replace(cfg, bias=BiasVector.tied(v)))[0]
+                want[tuple(src)] += sum(t in TAG_TOKENS for t in hyp.raw)
+        counting = CountingScorer(inner)
+        logs = Counter()
+
+        def counting_log(p):
+            logs[counting.source] += 1
+            return _safe_log(p)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(decode_bias, "_safe_log", counting_log)
+            grid_search_tune(counting, dev, grid_step=grid_step, cfg=cfg)
+        for source, state in counting.sentence_calls:
+            want[source] += sum(p > 0.0 for p in inner.dist(state).values())
+        assert logs == want
+        if inner is tagless:
+            assert len(counting.sentence_calls) < sum(logs.values())  # a row logs each move

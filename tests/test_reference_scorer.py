@@ -431,13 +431,19 @@ def oracle_step(self, state, token):
     )
 
 
-def canon_state(old):
-    """The scorer state an oracle state stands for: its mode's fields alone."""
+def canon_state(self, old):
+    """The scorer state an oracle state stands for: its mode's fields alone.
+
+    A plain state keeps the deleted phrase only when it is a replacement
+    source, the one use ``dist`` and ``step`` make of it.
+    """
     src, i, mode, ctx, del_start, del_phrase, ins_prefix, repl_src, _, done = old
     if mode == "del":
         return RefState(src, i, mode, ctx, del_start, done=done)
     if mode == "ins":
         return RefState(src, i, mode, ctx, ins_prefix=ins_prefix, repl_src=repl_src, done=done)
+    if del_phrase not in self.lexicon.replacements:
+        del_phrase = None
     return RefState(src, i, "plain", ctx, del_phrase=del_phrase, done=done)
 
 
@@ -475,7 +481,7 @@ def test_dist_and_step_match_oracle_on_random_walks(seed):
         new = sc.start(source if n % 2 else tuple(source))
         old = OldState(src=tuple(source), i=0, mode="out", ctx=(BOS,) * (sc.lm.order - 1))
         for _ in range(3 * len(source) + 10):
-            assert canon_state(old) == new
+            assert canon_state(sc, old) == new
             dist = sc.dist(new)
             assert list(dist.items()) == list(oracle_dist(sc, old).items())
             legal = []
@@ -484,9 +490,9 @@ def test_dist_and_step_match_oracle_on_random_walks(seed):
                     assert dist[tok] == 0.0
                     assert sc.step(new, tok) is new
                     want = new._replace(del_phrase=None) if new.mode == "plain" else new
-                    assert canon_state(oracle_step(sc, old, tok)) == want
+                    assert canon_state(sc, oracle_step(sc, old, tok)) == want
                 else:
-                    assert sc.step(new, tok) == canon_state(oracle_step(sc, old, tok))
+                    assert sc.step(new, tok) == canon_state(sc, oracle_step(sc, old, tok))
                     legal.append(tok)
             positive = [t for t, p in dist.items() if p > 0.0]
             tok = rng.choice(legal if rng.random() < 0.1 else positive)
@@ -549,8 +555,11 @@ def test_reached_states_hold_only_their_modes_fields(seed):
         beam_decode(sc, source, DecodeConfig(beam=10, constrained=True, bias=bias))
     assert {s.mode for s in sc.states} == {"plain", "del", "ins"}
     assert any(s.repl_src for s in sc.states) and any(s.del_phrase for s in sc.states)
+    replacements = sc.sc.lexicon.replacements
     for state in sc.states:
         assert_mode_fields_only(state)
+        # a deleted phrase is kept only for the replacement it may open
+        assert state.del_phrase is None or state.del_phrase in replacements, state
 
 
 # train_lm as it was before it counted n-grams per order (one setdefault per
