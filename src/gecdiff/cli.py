@@ -235,7 +235,7 @@ def _cmd_decode(args):
     if args.kbest_size is not None and args.kbest_size < 1:
         raise ValueError("--kbest-size must be >= 1")
     sources = _read_untagged(args.src, "source", allow_empty=False)
-    bias = BiasVector.parse(args.bias) if args.bias else None
+    bias = BiasVector.parse(args.bias) if args.bias else BiasVector()
     cfg = DecodeConfig(
         beam=args.beam, max_len=args.max_len, constrained=args.constrained, bias=bias
     )
@@ -421,7 +421,7 @@ def _cmd_analyze(args):
 
 def _cmd_rerank(args):
     records = read_kbest(args.kbest)
-    bias = BiasVector.parse(args.bias) if args.bias else None
+    bias = BiasVector.parse(args.bias) if args.bias else BiasVector()
     reranked = rerank_kbest(records, bias)
     best: dict[int, TokenSeq] = {}
     for rec in reranked:
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--src", required=True, help="tokenized source lines")
     p.add_argument("--out", required=True, help="1-best tagged lines")
-    p.add_argument("--bias", help="tied value or four comma-separated values")
+    p.add_argument("--bias", help="tied value or four comma-separated values (default 0)")
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--max-len", type=int)
     p.add_argument("--constrained", action="store_true")
@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("rerank", _cmd_rerank, "re-rank a k-best dump under a bias",
             reads="kbest src", writes="out kbest_out")
     p.add_argument("--kbest", required=True)
-    p.add_argument("--bias")
+    p.add_argument("--bias", help="as for decode (default 0)")
     p.add_argument("--out", required=True, help="best sequence per id")
     p.add_argument("--src", help="repair best sequences against these sources")
     p.add_argument("--kbest-out", help="write the re-ranked dump")

@@ -66,10 +66,6 @@ class BiasVector:
         return cls(v, v, v, v)
 
     @classmethod
-    def zero(cls) -> "BiasVector":
-        return cls()
-
-    @classmethod
     def parse(cls, text: str) -> "BiasVector":
         """Parse a single tied value or four comma-separated components."""
         parts = [float(p) for p in text.split(",")]
@@ -113,12 +109,20 @@ class ScorerContract(Protocol):
 
 @dataclass(frozen=True)
 class DecodeConfig:
+    """Beam width, length cap, automaton mask and tag bias of a decode.
+
+    The default ``bias``, ``BiasVector()``, is 0 for all four tags: moves
+    rank on their raw probabilities.
+    """
+
     beam: int = 10
     max_len: int | None = None  # None: 2*len(source)+10
     constrained: bool = False
-    bias: BiasVector | None = None  # None skips the bias stage entirely
+    bias: BiasVector = BiasVector()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bias, BiasVector):
+            raise ValueError(f"bias must be a BiasVector, got {self.bias!r}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
         if self.max_len is not None and self.max_len < 1:
@@ -224,7 +228,7 @@ def _biased(p: float, token: str, offsets: dict[str, float]) -> float:
 
 
 def _moves(
-    candidates: Iterable[tuple[str, float]], offsets: dict[str, float] | None
+    candidates: Iterable[tuple[str, float]], offsets: dict[str, float]
 ) -> list[tuple[float, str, float]]:
     """``(-ranking value, token, p)`` per candidate ``(token, p)``.
 
@@ -234,13 +238,11 @@ def _moves(
     on the raw value, not its log, matters: two distinct probabilities can
     share a log.
     """
-    if offsets is None:
-        return [(-p, t, p) for t, p in candidates]
     return [(-_biased(p, t, offsets), t, p) for t, p in candidates]
 
 
 def _ranked_moves(
-    candidates: Iterable[tuple[str, float]], offsets: dict[str, float] | None
+    candidates: Iterable[tuple[str, float]], offsets: dict[str, float]
 ) -> list[tuple[float, str, float]]:
     """``(log of ranking value, token, p)`` in move order.
 
@@ -259,10 +261,8 @@ _Move = tuple[float, str, float, float, float]
 _NO_MOVE: _Move = (math.inf, "", 0.0, 0.0, 0.0)  # ranks below every move
 
 
-def _tag_moves(tags: tuple[_Move, ...], offsets: dict[str, float] | None) -> Iterable[_Move]:
+def _tag_moves(tags: tuple[_Move, ...], offsets: dict[str, float]) -> list[_Move]:
     """A row's tag half under ``offsets``: each move ranked on ``p`` plus its offset."""
-    if offsets is None:
-        return tags
     moves = []
     for _, t, p, log_p, _ in tags:
         value = _biased(p, t, offsets)
@@ -270,9 +270,7 @@ def _tag_moves(tags: tuple[_Move, ...], offsets: dict[str, float] | None) -> Ite
     return moves
 
 
-def _zero_moves(
-    dist: dict[str, float], mask: set[str], offsets: dict[str, float] | None
-) -> list[_Move]:
+def _zero_moves(dist: dict[str, float], mask: set[str], offsets: dict[str, float]) -> list[_Move]:
     """The moves ``mask`` permits, in move order, when none has a positive probability."""
     moves = _moves(((t, dist.get(t, 0.0)) for t in mask), offsets)
     moves.sort()
@@ -352,7 +350,7 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
             f"constrained decode needs max_len >= {len(source) + 1} to emit the source"
         )
     beam = cfg.beam
-    offsets = cfg.bias.as_map() if cfg.bias is not None else None
+    offsets = cfg.bias.as_map()
     table = scorer if isinstance(scorer, _Table) else _Table(scorer)
     if beam == 1:
         return [_greedy_decode(table, source, max_len, constrained, offsets)]
@@ -422,7 +420,7 @@ def _greedy_decode(
     source: TokenSeq,
     max_len: int,
     constrained: bool,
-    offsets: dict[str, float] | None,
+    offsets: dict[str, float],
 ) -> Hypothesis:
     """``beam_decode`` at beam 1, as a greedy walk.
 
@@ -455,12 +453,11 @@ def _greedy_decode(
                     break
         # the head of the bias-free half against each tag move, in move order
         neg_rank, tok, p, log_p, log_rank = plain[0] if plain else _NO_MOVE
-        for tag_rank, tag, tag_p, tag_log_p, tag_log_rank in tags:
-            if offsets is not None:
-                tag_rank, tag_log_rank = -_biased(tag_p, tag, offsets), None
+        for _, tag, tag_p, tag_log_p, _ in tags:
+            tag_rank = -_biased(tag_p, tag, offsets)
             if tag_rank < neg_rank or (tag_rank == neg_rank and tag < tok):
-                neg_rank, tok, p, log_p, log_rank = tag_rank, tag, tag_p, tag_log_p, tag_log_rank
-        if log_rank is None:  # a tag won on its offset: log only its ranking value
+                neg_rank, tok, p, log_p, log_rank = tag_rank, tag, tag_p, tag_log_p, None
+        if log_rank is None:  # a tag won: log only its ranking value
             log_rank = _safe_log(-neg_rank)
         selection += log_rank
         score += log_p
@@ -504,12 +501,7 @@ def _grid_values(grid_step: float) -> list[float]:
 
 
 def _first_argmax(prfs: list[PRF]) -> int:
-    best, best_f = None, -1.0
-    for i, prf in enumerate(prfs):
-        if prf.f_beta > best_f:
-            best, best_f = i, prf.f_beta
-    assert best is not None
-    return best
+    return max(range(len(prfs)), key=lambda i: prfs[i].f_beta)  # ties: the first
 
 
 def grid_search_tune(
@@ -627,14 +619,18 @@ class KBestRecord:
         in order, as it always has, so the score is the same float.
         """
         logs, tags = self._unbiased
-        if offsets and tags:
+        if tags:
             logs = logs[:]
             for i in tags:
                 logs[i] = _safe_log(_biased(self.probs[i], self.tokens[i], offsets))
         return sum(logs)
 
-    def selection_score(self, bias: BiasVector | None) -> float:
-        return self._score(bias.as_map() if bias is not None else {})
+    def selection_score(self, bias: BiasVector) -> float:
+        """The selection score under ``bias``.
+
+        ``BiasVector()`` is 0 for all four tags: the sum of the raw steps' logs.
+        """
+        return self._score(bias.as_map())
 
 
 def record_from_hypothesis(sid: int, hyp: Hypothesis) -> KBestRecord:
@@ -744,21 +740,17 @@ class _KBestReader:
         return KBestRecord(sid, tuple(map(self.words.__getitem__, tokens)), probs, tag_probs, eos)
 
 
-def rerank_kbest(records: list[KBestRecord], bias: BiasVector | None) -> list[KBestRecord]:
-    """Reorder each source id's hypotheses by biased selection score."""
-    offsets = bias.as_map() if bias is not None else {}
+def rerank_kbest(records: list[KBestRecord], bias: BiasVector) -> list[KBestRecord]:
+    """Reorder each source id's hypotheses by selection score under ``bias``.
+
+    Ids keep their first-seen order.  ``BiasVector()``, 0 for all four tags,
+    ranks on the raw probabilities.
+    """
+    offsets = bias.as_map()
     groups: dict[int, list[KBestRecord]] = {}
-    order: list[int] = []
     for rec in records:
-        if rec.sid not in groups:
-            order.append(rec.sid)
         groups.setdefault(rec.sid, []).append(rec)
     out: list[KBestRecord] = []
-    for sid in order:
-        out.extend(
-            sorted(
-                groups[sid],
-                key=lambda r: (-r._score(offsets), r.tokens),
-            )
-        )
+    for group in groups.values():
+        out.extend(sorted(group, key=lambda r: (-r._score(offsets), r.tokens)))
     return out

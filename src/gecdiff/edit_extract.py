@@ -217,8 +217,8 @@ def edits_from_tagged(tagged: TokenSeq) -> list[Edit]:
     """Read an EditSet straight off a well-formed tagged sequence.
 
     A ``<del>`` span becomes a delete edit, an ``<ins>`` span an insert, and
-    a del span directly followed by an ins span a replace.  Consecutive ins
-    spans at one position merge into a single insert.
+    a del span directly followed by an ins span a replace.  Ins spans at one
+    position merge into a single insert, even with an empty span between.
     """
     edits: list[Edit] = []
     pos = 0
@@ -232,7 +232,6 @@ def edits_from_tagged(tagged: TokenSeq) -> list[Edit]:
             if deleted:  # empty del spans carry no edit
                 edits.append(Edit(start, start + len(deleted), deleted, ()))
 
-    last_ins_at = -1
     for kind, tokens in parse_spans(tagged):
         if kind == "dom":
             continue
@@ -244,19 +243,17 @@ def edits_from_tagged(tagged: TokenSeq) -> list[Edit]:
             pending = (pos, tuple(tokens))
             pos += len(tokens)
         else:  # ins
-            if pending is not None:
-                start, deleted = pending
-                pending = None
-                if deleted or tokens:
-                    edits.append(Edit(start, pos, deleted, tuple(tokens)))
+            start, deleted = pending or (pos, ())
+            pending = None
+            if deleted:
+                edits.append(Edit(start, pos, deleted, tuple(tokens)))
             elif not tokens:  # empty ins span carries no edit
                 continue
-            elif last_ins_at == pos and edits and edits[-1].kind == "insert":
-                prev = edits.pop()
-                edits.append(Edit(pos, pos, (), prev.replacement + tuple(tokens)))
+            elif edits and edits[-1].start == pos:
+                # an insert at pos, with only empty spans since: one insertion
+                edits[-1] = Edit(pos, pos, (), edits[-1].replacement + tuple(tokens))
             else:
                 edits.append(Edit(pos, pos, (), tuple(tokens)))
-            last_ins_at = pos
     flush()
     return edits
 

@@ -292,6 +292,19 @@ class TestDecodePipeline:
         assert len(Path("best.tag").read_text().splitlines()) == 2
         assert len(Path("kb2.jsonl").read_text().splitlines()) == len(lines)
 
+    def test_omitted_bias_is_zero(self):
+        model = train_model()
+        write("test.src", TEST_SRC + "see teh bird\n")
+        for name, bias in (("omitted", []), ("zero", ["--bias", "0"])):
+            decode = ["--model", model, "--src", "test.src", "--beam", "3"]
+            decode += ["--out", f"{name}.tag", "--kbest", f"{name}.kbest"]
+            assert main(["decode", *decode, *bias]) == 0
+            rerank = ["--kbest", f"{name}.kbest", "--src", "test.src"]
+            rerank += ["--out", f"{name}.best", "--kbest-out", f"{name}.reranked"]
+            assert main(["rerank", *rerank, *bias]) == 0
+        for ext in ("tag", "kbest", "best", "reranked"):
+            assert Path(f"omitted.{ext}").read_bytes() == Path(f"zero.{ext}").read_bytes()
+
     def kbest_for(self, sources: str) -> list[str]:
         model = train_model()
         write("test.src", sources)

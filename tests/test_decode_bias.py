@@ -166,10 +166,15 @@ class TestBeamDecode:
     def test_zero_bias_matches_no_bias(self):
         for seed in range(10):
             sc = FuzzScorer(seed)
-            plain = beam_decode(sc, SRC, DecodeConfig(beam=4, bias=None))
-            zero = beam_decode(sc, SRC, DecodeConfig(beam=4, bias=BiasVector.zero()))
+            plain = oracle_beam_decode(sc, SRC, DecodeConfig(beam=4), unbiased=True)
+            zero = beam_decode(sc, SRC, DecodeConfig(beam=4, bias=BiasVector()))
             assert [h.raw for h in plain] == [h.raw for h in zero]
             assert [h.score for h in plain] == [h.score for h in zero]
+
+    @pytest.mark.parametrize("bias", [None, 0.0, "0", {}], ids=["none", "float", "str", "dict"])
+    def test_bias_must_be_a_bias_vector(self, bias):
+        with pytest.raises(ValueError, match="bias must be a BiasVector"):
+            DecodeConfig(bias=bias)
 
     def test_structural_zero_immune_to_bias(self):
         sc = FuzzScorer(3, zero_tags=TAG_TOKENS)
@@ -276,7 +281,7 @@ class TestGridSearch:
         result = grid_search_tune(
             CopyScorer(), [(["a"], None)], evaluate=lambda b: curve_prf(0.5, 0.5)
         )
-        assert result.best == BiasVector.zero()
+        assert result.best == BiasVector()
 
     def test_untied_sweeps_components_in_order(self):
         def ev(bias):
@@ -302,7 +307,7 @@ class TestGridSearch:
         )
         # copy scorer never edits: perfect against empty gold everywhere
         assert all(prf.f_beta == 1.0 for _, prf in result.curve)
-        assert result.best == BiasVector.zero()
+        assert result.best == BiasVector()
 
 
 class TestKBest:
@@ -401,7 +406,7 @@ class TestKBest:
 
     def test_selection_score_recomputed(self):
         rec = KBestRecord(0, ("a", DEL_OPEN), (0.5, 0.25, 0.9), ((0.0,) * 4, (0.25, 0.0, 0.0, 0.0), (0.0,) * 4), True)
-        base = rec.selection_score(None)
+        base = rec.selection_score(BiasVector())
         assert base == pytest.approx(math.log(0.5) + math.log(0.25) + math.log(0.9))
         lifted = rec.selection_score(BiasVector(del_open=0.5))
         assert lifted == pytest.approx(
@@ -413,7 +418,7 @@ class TestKBest:
         tagged = KBestRecord(
             0, (DEL_OPEN,), (0.3, 0.9), ((0.3, 0.0, 0.0, 0.0), (0.0,) * 4), True
         )
-        assert rerank_kbest([plain, tagged], None)[0] == plain
+        assert rerank_kbest([plain, tagged], BiasVector())[0] == plain
         assert rerank_kbest([plain, tagged], BiasVector(del_open=1.0))[0] == tagged
 
     def test_rerank_preserves_id_blocks(self):
@@ -509,10 +514,10 @@ def random_records(seed: int, n: int = 60) -> list[KBestRecord]:
     return out
 
 
-def random_biases(seed: int) -> list[BiasVector | None]:
+def random_biases(seed: int) -> list[BiasVector]:
     rng = random.Random(seed)
     return (
-        [None, BiasVector.zero(), BiasVector.tied(1.0)]
+        [BiasVector(), BiasVector.tied(1.0)]
         + [BiasVector.tied(rng.random()) for _ in range(3)]
         + [BiasVector(*(rng.choice((0.0, rng.random())) for _ in range(4))) for _ in range(6)]
     )
@@ -526,6 +531,9 @@ class TestRerankFromCachedLogs:
             for _ in range(2):  # computes the cached logs, then uses them
                 got = [rec.selection_score(bias) for rec in records]
                 assert got == [oracle_selection_score(rec, bias) for rec in records]
+        # zero bias scores as no offsets at all
+        got = [rec.selection_score(BiasVector()) for rec in records]
+        assert got == [oracle_selection_score(rec, None) for rec in records]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rerank_equals_oracle(self, seed, tmp_path):
@@ -537,6 +545,7 @@ class TestRerankFromCachedLogs:
             want = oracle_rerank_kbest(records, bias)
             assert rerank_kbest(records, bias) == want
             assert rerank_kbest(back, bias) == want
+        assert rerank_kbest(back, BiasVector()) == oracle_rerank_kbest(records, None)
 
     @pytest.mark.parametrize(
         "tokens, probs, tags, eos",
@@ -819,10 +828,12 @@ class _Beam:
     tagps: tuple[tuple[float, float, float, float], ...]
 
 
-def oracle_beam_decode(scorer, source, cfg):
+def oracle_beam_decode(scorer, source, cfg, unbiased=False):
     """Reference decoder: scores every live item and copies every candidate.
 
     ``beam_decode`` must return exactly what this returns, float for float.
+    ``unbiased`` ranks on the raw probabilities, with no offsets at all,
+    whatever ``cfg.bias`` holds.
     """
     if not source:
         raise ValueError("source must be nonempty")
@@ -831,7 +842,7 @@ def oracle_beam_decode(scorer, source, cfg):
         raise ValueError(
             f"constrained decode needs max_len >= {len(source) + 1} to emit the source"
         )
-    offsets = cfg.bias.as_map() if cfg.bias is not None else None
+    offsets = None if unbiased else cfg.bias.as_map()
 
     live = [_Beam((), scorer.start(source), OracleAuto(), 0.0, 0.0, (), ())]
     done: list[_Beam] = []
@@ -948,8 +959,8 @@ def synthetic_ref_scorer(seed, **weights):
 
 def equivalence_cases():
     biases = {
-        "none": None,
-        "zero": BiasVector.zero(),
+        "none": None,  # no bias given: the default, against raw probabilities
+        "zero": BiasVector(),
         "tied": BiasVector.tied(0.3),
         "untied": BiasVector(0.7, 0.1, 0.5, 0.0),
     }
@@ -980,8 +991,11 @@ def test_matches_reference_decoder(scs, sources, constrained, bias, beam, tight)
     for sc in scs:
         for src in sources:
             limit = len(src) + 1 if tight else None
-            cfg = DecodeConfig(beam=beam, constrained=constrained, bias=bias, max_len=limit)
-            assert beam_decode(sc, src, cfg) == oracle_beam_decode(sc, src, cfg)
+            cfg = DecodeConfig(beam=beam, constrained=constrained, max_len=limit)
+            if bias is not None:
+                cfg = replace(cfg, bias=bias)
+            want = oracle_beam_decode(sc, src, cfg, unbiased=bias is None)
+            assert beam_decode(sc, src, cfg) == want
 
 
 class TwoMoveScorer:
@@ -1027,7 +1041,7 @@ def test_constrained_decode_stops_when_nothing_is_legal():
 
 def test_beam1_ranks_on_raw_value_not_its_log():
     assert math.log(math.nextafter(0.3, 0.0)) == math.log(0.3)
-    for bias in (None, BiasVector.tied(0.5)):
+    for bias in (BiasVector(), BiasVector.tied(0.5)):
         cfg = DecodeConfig(beam=1, bias=bias)
         got = beam_decode(TwoMoveScorer(), ["u"], cfg)
         # a walk comparing logs would tie and take the smaller token "a"
@@ -1384,8 +1398,6 @@ def row_kinds(dist, offsets):
     kinds = set()
     if not tags:
         kinds.add("no positive tag")
-    if offsets is None:
-        return kinds
     biased = [(p + offsets[t], p) for t, p in tags]
     if plain and any(v == max(plain) for v, _ in biased):
         kinds.add("a tag ties the best word")
@@ -1397,7 +1409,6 @@ def row_kinds(dist, offsets):
 def split_cases():
     grid = [0.25, 0.5, 1.0]
     biases = [
-        None,
         BiasVector.tied(0.0),
         *(BiasVector.tied(v) for v in grid),
         BiasVector(0.25, 0.0, 0.5, 0.75),
@@ -1430,7 +1441,7 @@ def test_split_rows_decode_as_the_reference(scs, sources, biases, constrained, b
                 cfg = DecodeConfig(beam=beam, constrained=constrained, bias=bias)
                 table = decode_bias._Table(sc)
                 assert beam_decode(table, src, cfg) == oracle_beam_decode(sc, src, cfg)
-                offsets = bias.as_map() if bias is not None else None
+                offsets = bias.as_map()
                 for dist, _, plain, tags, _ in table.rows.values():
                     kinds |= row_kinds(dist, offsets)
                     # the halves merged under the offsets are every positive

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gecdiff.diff_codec import encode_diffs
+from gecdiff.diff_codec import encode_diffs, validate_tagged
 from gecdiff.edit_extract import (
     AlignOp,
     AlignmentOps,
@@ -180,6 +180,33 @@ class TestEditsFromTagged:
     def test_adjacent_inserts_merge(self):
         tagged = ["a", INS_OPEN, "x", INS_CLOSE, INS_OPEN, "y", INS_CLOSE]
         assert edits_from_tagged(tagged) == [Edit(1, 1, (), ("x", "y"))]
+
+    def test_empty_span_between_inserts_merges(self):
+        # an empty span between two ins spans, a del one included, leaves one
+        # insertion; check_edits rejects two at one position
+        rng = random.Random(19)
+        for _ in range(200):
+            source = [rng.choice("abc") for _ in range(rng.randint(1, 5))]
+            at = rng.randint(0, len(source))
+            first = [rng.choice("xy") for _ in range(rng.randint(1, 3))]
+            second = [rng.choice("xy") for _ in range(rng.randint(1, 3))]
+            empty = rng.choice(([DEL_OPEN, DEL_CLOSE], [INS_OPEN, INS_CLOSE], []))
+            tagged = [
+                *source[:at], INS_OPEN, *first, INS_CLOSE, *empty,
+                INS_OPEN, *second, INS_CLOSE, *source[at:],
+            ]
+            assert validate_tagged(tagged, source).valid
+            edits = edits_from_tagged(tagged)
+            assert edits == [Edit(at, at, (), tuple(first + second))]
+            check_edits(edits, source)
+
+    def test_empty_spans_carry_no_insert_forward(self):
+        tagged = [
+            "a", INS_OPEN, "x", INS_CLOSE, "b",
+            DEL_OPEN, DEL_CLOSE, INS_OPEN, INS_CLOSE, INS_OPEN, "y", INS_CLOSE,
+        ]
+        assert validate_tagged(tagged, ["a", "b"]).valid
+        assert edits_from_tagged(tagged) == [Edit(1, 1, (), ("x",)), Edit(2, 2, (), ("y",))]
 
     @given(WORDS, WORDS)
     def test_agrees_with_codec(self, s, t):
