@@ -21,7 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .corpus_io import _Shared, atomic_write, iter_lines
@@ -97,7 +97,8 @@ class ScorerContract(Protocol):
     ranked and logged once, and the tag moves, the only ones a bias ranks
     again per call.  Each distinct state costs a row, so a state should
     hold only what ``dist`` and ``step`` read: one position reached by two
-    histories is then one state.
+    histories is then one state.  Of a distribution a decode keeps only the
+    chosen token's probability per step, as ``dist`` gave it.
     """
 
     def start(self, source: TokenSeq): ...
@@ -136,8 +137,7 @@ class Hypothesis:
     tagged: tuple[str, ...]
     raw: tuple[str, ...]
     score: float  # sum of unbiased log-probabilities
-    token_logprobs: tuple[float, ...]
-    tag_probs: tuple[tuple[float, float, float, float], ...]
+    probs: tuple[float, ...]  # each step's probability, as the scorer gave it
     selection_score: float
     terminated: bool
 
@@ -211,8 +211,7 @@ class _Beam(NamedTuple):
     auto: _Auto
     selection: float
     score: float
-    logps: tuple[float, ...]
-    tagps: tuple[tuple[float, float, float, float], ...]
+    probs: tuple[float, ...]
 
 
 def _biased(p: float, token: str, offsets: dict[str, float]) -> float:
@@ -221,8 +220,9 @@ def _biased(p: float, token: str, offsets: dict[str, float]) -> float:
     Only the tag tokens have an offset, and this is the one place one is
     applied.  The decoder ranks moves on this value and adds its
     ``_safe_log`` to a selection score; ``KBestRecord`` re-scores tag steps
-    with that log.  The log is taken apart so the greedy walk takes it only
-    for the move it keeps.
+    with that log from the same ``p``, so a record re-scored at the bias it
+    was decoded with gives the decoder's selection score.  The log is taken
+    apart so the greedy walk takes it only for the move it keeps.
     """
     return p + offsets.get(token, 0.0)
 
@@ -239,19 +239,6 @@ def _moves(
     share a log.
     """
     return [(-_biased(p, t, offsets), t, p) for t, p in candidates]
-
-
-def _ranked_moves(
-    candidates: Iterable[tuple[str, float]], offsets: dict[str, float]
-) -> list[tuple[float, str, float]]:
-    """``(log of ranking value, token, p)`` in move order.
-
-    The move order as one list: a row's two halves merged under
-    ``offsets`` must read the same, which the tests check against this.
-    """
-    moves = _moves(candidates, offsets)
-    moves.sort()
-    return [(_safe_log(-r), t, p) for r, t, p in moves]
 
 
 # A move as the decoder reads it: ``(-ranking value, token, p, log p, log of
@@ -281,22 +268,22 @@ class _Table:
     """Every scored state of one source, and every step taken from one.
 
     A row holds what the decoder reads of a state, as the tuple
-    ``(dist, tagp, plain, tags, nexts)``: its distribution, checked once;
-    its tag probabilities in ``TAG_TOKENS`` order; its positive moves,
-    split in two halves; and the states its steps reach, by token.  The
-    bias-free half ``plain`` is the non-tag moves, ranked once with their
-    logs: an offset never touches them, since ``p + 0.0 == p``.  The tag
-    half ``tags`` is the tag moves, each with its log; only this half is
-    ranked again per call, under that call's offsets (``_tag_moves``).  A
-    row with no positive tag move needs no sort and no log after it is
-    made.  Rows are plain tuples that never point at each other.  The
-    halves are tuples too: kept as lists, they made the cyclic garbage
-    collector run about three times as often in a beam decode.
+    ``(dist, plain, tags, nexts)``: its distribution, checked once; its
+    positive moves, split in two halves; and the states its steps reach,
+    by token.  The bias-free half ``plain`` is the non-tag moves, ranked
+    once with their logs: an offset never touches them, since
+    ``p + 0.0 == p``.  The tag half ``tags`` is the tag moves, each with
+    its log; only this half is ranked again per call, under that call's
+    offsets (``_tag_moves``).  A row with no positive tag move needs no
+    sort and no log after it is made.  Rows are plain tuples that never
+    point at each other.  The halves are tuples too: kept as lists, they
+    made the cyclic garbage collector run about three times as often in a
+    beam decode.
     """
 
     def __init__(self, scorer: ScorerContract) -> None:
         self.scorer = scorer
-        self.rows: dict = {}  # state -> (dist, tagp, plain, tags, nexts)
+        self.rows: dict = {}  # state -> (dist, plain, tags, nexts)
 
     def row(self, state) -> tuple:
         row = self.rows.get(state)
@@ -309,8 +296,7 @@ class _Table:
                     log_p = _safe_log(p)
                     (tags if t in TAG_TOKENS else plain).append((-p, t, p, log_p, log_p))
             plain.sort()
-            tagp = tuple(map(dist.__getitem__, TAG_TOKENS))
-            row = self.rows[state] = (dist, tagp, tuple(plain), tuple(tags), {})
+            row = self.rows[state] = (dist, tuple(plain), tuple(tags), {})
         return row
 
     def step(self, state, nexts: dict, token: str):
@@ -355,15 +341,14 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     if beam == 1:
         return [_greedy_decode(table, source, max_len, constrained, offsets)]
 
-    live = [_Beam((), table.scorer.start(source), _Auto(), 0.0, 0.0, (), ())]
+    live = [_Beam((), table.scorer.start(source), _Auto(), 0.0, 0.0, ())]
     done: list[_Beam] = []
     for step_no in range(max_len):
         budget = max_len - step_no
-        # (selection, token, parent, p, log p, the parent's row)
-        pool: list[tuple[float, str, _Beam, float, float, tuple]] = []
+        # (selection, token, parent, p, log p, the parent's row's nexts)
+        pool: list[tuple[float, str, _Beam, float, float, dict]] = []
         for item in live:
-            row = table.row(item.state)
-            dist, _, plain, tags, _ = row
+            dist, plain, tags, nexts = table.row(item.state)
             if constrained:
                 mask = item.auto.allowed(source, dist, budget)
                 plain = [m for m in plain if m[1] in mask]
@@ -375,23 +360,21 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
                 plain = sorted(chain(plain[:beam], _tag_moves(tags, offsets)))
             selection = item.selection
             for _, tok, p, log_p, log_rank in plain[:beam]:
-                pool.append((selection + log_rank, tok, item, p, log_p, row))
+                pool.append((selection + log_rank, tok, item, p, log_p, nexts))
         if not pool:
             break
         # every live raw has length step_no, so (raw, tok) orders as raw + (tok,)
         pool.sort(key=lambda x: (-x[0], x[2].raw, x[1]))
         live = []
-        for sel, tok, item, p, log_p, row in pool[:beam]:
-            _, tagp, _, _, nexts = row
-            logps = item.logps + (log_p,)
-            tagps = item.tagps + (tagp,)
+        for sel, tok, item, p, log_p, nexts in pool[:beam]:
+            probs = item.probs + (p,)
             score = item.score + log_p
             if tok == EOS:
-                done.append(_Beam(item.raw, None, item.auto, sel, score, logps, tagps))
+                done.append(_Beam(item.raw, None, item.auto, sel, score, probs))
             else:
                 auto = item.auto.advance(source, tok) if constrained else item.auto
                 state = table.step(item.state, nexts, tok)
-                live.append(_Beam(item.raw + (tok,), state, auto, sel, score, logps, tagps))
+                live.append(_Beam(item.raw + (tok,), state, auto, sel, score, probs))
         if len(done) >= beam or not live:
             break
     # Unfinished items join the ranking: those out of budget, and also those
@@ -406,8 +389,7 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
                 tagged=tuple(repair(list(b.raw), source)),
                 raw=b.raw,
                 score=b.score,
-                token_logprobs=b.logps,
-                tag_probs=b.tagps,
+                probs=b.probs,
                 selection_score=b.selection,
                 terminated=b.state is None,
             )
@@ -435,14 +417,13 @@ def _greedy_decode(
     state = table.scorer.start(source)
     auto = _Auto()
     raw: list[str] = []
-    logps: list[float] = []
-    tagps: list[tuple[float, float, float, float]] = []
+    probs: list[float] = []
     selection = score = 0.0
     terminated = False
     rows = table.rows
     for step_no in range(max_len):
         # a hit skips the method call: this line runs once per step
-        dist, tagp, plain, tags, nexts = rows.get(state) or table.row(state)
+        dist, plain, tags, nexts = rows.get(state) or table.row(state)
         if constrained:
             mask = auto.allowed(source, dist, max_len - step_no)
             plain = [m for m in plain if m[1] in mask]
@@ -461,8 +442,7 @@ def _greedy_decode(
             log_rank = _safe_log(-neg_rank)
         selection += log_rank
         score += log_p
-        logps.append(log_p)
-        tagps.append(tagp)
+        probs.append(p)
         if tok == EOS:
             terminated = True
             break
@@ -474,8 +454,7 @@ def _greedy_decode(
         tagged=tuple(repair(raw, source)),
         raw=tuple(raw),
         score=score,
-        token_logprobs=tuple(logps),
-        tag_probs=tuple(tagps),
+        probs=tuple(probs),
         selection_score=selection,
         terminated=terminated,
     )
@@ -579,26 +558,22 @@ def grid_search_tune(
 class KBestRecord:
     """One hypothesis in the line-delimited exchange format.
 
-    ``probs`` holds the chosen token's probability per step; when ``eos`` is
-    true a final entry for the end-of-sequence step is included, so
-    ``len(probs) == len(tokens) + 1``.  ``tag_probs`` carries the four tag
-    probabilities (del-open, del-close, ins-open, ins-close) at each step,
-    aligned with ``probs``.
+    ``probs`` holds the chosen token's probability per step, as the scorer
+    gave it; when ``eos`` is true a final entry for the end-of-sequence step
+    is included, so ``len(probs) == len(tokens) + 1``.  These are all that
+    re-scoring reads: a record re-scored at the bias it was decoded with
+    gives the decoder's selection score, float for float.
     """
 
     sid: int
     tokens: tuple[str, ...]
     probs: tuple[float, ...]
-    tag_probs: tuple[tuple[float, float, float, float], ...]
     eos: bool
 
     def __post_init__(self) -> None:
         steps = len(self.tokens) + (1 if self.eos else 0)
-        if len(self.probs) != steps or len(self.tag_probs) != steps:
-            raise ValueError(
-                f"expected {steps} probability entries, got {len(self.probs)} probs "
-                f"and {len(self.tag_probs)} tag_probs"
-            )
+        if len(self.probs) != steps:
+            raise ValueError(f"expected {steps} probability entries, got {len(self.probs)}")
 
     @cached_property
     def _unbiased(self) -> tuple[array, tuple[int, ...]]:
@@ -634,13 +609,7 @@ class KBestRecord:
 
 
 def record_from_hypothesis(sid: int, hyp: Hypothesis) -> KBestRecord:
-    return KBestRecord(
-        sid=sid,
-        tokens=hyp.raw,
-        probs=tuple(math.exp(lp) if lp > _LOG_FLOOR else 0.0 for lp in hyp.token_logprobs),
-        tag_probs=hyp.tag_probs,
-        eos=hyp.terminated,
-    )
+    return KBestRecord(sid=sid, tokens=hyp.raw, probs=hyp.probs, eos=hyp.terminated)
 
 
 def write_kbest(records: Iterable[KBestRecord], path: str) -> None:
@@ -650,7 +619,6 @@ def write_kbest(records: Iterable[KBestRecord], path: str) -> None:
                 "id": rec.sid,
                 "tokens": list(rec.tokens),
                 "probs": list(rec.probs),
-                "tag_probs": [list(t) for t in rec.tag_probs],
                 "eos": rec.eos,
             }
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
@@ -660,22 +628,18 @@ def read_kbest(path: str) -> list[KBestRecord]:
     """Read a dump written by ``write_kbest``; a malformed record raises ValueError.
 
     ``id`` must be a JSON integer, ``eos`` a JSON boolean, ``tokens`` a list
-    of strings, each ``tag_probs`` entry four values, and every probability a
-    number in [0, 1].
+    of strings, and every probability a number in [0, 1].  Any other key is
+    ignored, such as the per-step tag probabilities that older dumps carry.
 
     The records of one call share their values: one object per distinct
-    token, number text and ``tag_probs`` entry, each made and checked once.
-    A dump of beam-10 decodes repeats these heavily (about 300 tokens, 4,300
-    numbers and 3,000 tag tuples in 100,000 steps), so its records take a
-    seventh of the memory that fresh objects would.
+    token and number text, each made and checked once.  A dump of beam-10
+    decodes repeats these heavily (about 300 tokens and 4,300 numbers in
+    100,000 steps), so its records take a quarter of the memory that fresh
+    objects would.
     """
     reader = _KBestReader(path)
     lines = enumerate(iter_lines(path), 1)
     return [reader.record(line, n) for n, line in lines if line.strip()]
-
-
-def _float_tuple(entry) -> tuple[float, ...]:
-    return tuple(map(float, entry))
 
 
 _NUMBER_TYPES = frozenset({int, float})  # JSON numbers; bool and str are not
@@ -688,56 +652,33 @@ class _KBestReader:
         self.path = path
         self.decode = json.JSONDecoder(parse_float=_Shared(float).__getitem__).decode
         self.words = _Shared(str)
-        self.tag_tuples = _Shared(_float_tuple)  # a parsed entry -> its floats
         self.checked: set[int | float] = set()  # the numbers already found in [0, 1]
-
-    def tag_probs(self, entries, line: str, shareable: bool) -> tuple[tuple, list]:
-        """``entries`` as tuples of floats, and the parsed entries not read before."""
-        table = self.tag_tuples
-        # -0.0 == 0.0, so an entry holding -0.0 must not share the tuple of
-        # one holding 0.0.  Share only where every minus sign on the line is
-        # an exponent's; a negative number starts with one that is not.
-        if shareable and (
-            "-" not in line or line.count("-") == line.count("e-") + line.count("E-")
-        ):
-            known = len(table)
-            try:
-                shared = tuple(map(table.__getitem__, map(tuple, entries)))
-            except TypeError:  # an entry float() rejects; the loop below raises
-                pass
-            else:
-                return shared, list(islice(reversed(table), len(table) - known))
-        return tuple(map(_float_tuple, entries)), entries
 
     def record(self, line: str, lineno: int) -> KBestRecord:
         # True == 1 and both hash alike, so a boolean would pass as a number
-        # already checked, or take the tag tuple made for one; a line with a
-        # boolean besides eos shares nothing and has every value checked.
+        # already checked; a line with a boolean besides eos has every value
+        # checked.
         shareable = line.count("true") + line.count("false") == 1
         try:
             obj = self.decode(line)
             sid, eos, tokens, numbers = obj["id"], obj["eos"], obj["tokens"], obj["probs"]
             probs = tuple(map(float, numbers))
-            tag_probs, fresh = self.tag_probs(obj["tag_probs"], line, shareable)
             if type(sid) is not int:
                 raise ValueError(f"id must be an integer, got {sid!r}")
             if type(eos) is not bool:
                 raise ValueError(f"eos must be true or false, got {eos!r}")
             if type(tokens) is not list or not all(type(t) is str for t in tokens):
                 raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
-            if any(len(t) != 4 for t in fresh):
-                raise ValueError("each tag_probs entry needs 4 values")
-            if fresh or not (shareable and self.checked.issuperset(numbers)):
-                values = [*numbers, *chain.from_iterable(fresh)]
-                if not all(type(p) in _NUMBER_TYPES and 0.0 <= p <= 1.0 for p in values):
+            if not (shareable and self.checked.issuperset(numbers)):
+                if not all(type(p) in _NUMBER_TYPES and 0.0 <= p <= 1.0 for p in numbers):
                     raise ValueError("probabilities must be numbers in [0, 1]")
-                self.checked.update(values)
+                self.checked.update(numbers)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{self.path}:{lineno}: bad k-best record: {exc}") from exc
         expect = len(tokens) + (1 if eos else 0)
-        if len(probs) != expect or len(tag_probs) != expect:
+        if len(probs) != expect:
             raise ValueError(f"{self.path}:{lineno}: expected {expect} probability entries")
-        return KBestRecord(sid, tuple(map(self.words.__getitem__, tokens)), probs, tag_probs, eos)
+        return KBestRecord(sid, tuple(map(self.words.__getitem__, tokens)), probs, eos)
 
 
 def rerank_kbest(records: list[KBestRecord], bias: BiasVector) -> list[KBestRecord]:

@@ -15,7 +15,6 @@ evaluation can run end to end without external dependencies.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,9 +54,6 @@ class ConfusionLexicon:
     @classmethod
     def empty(cls) -> "ConfusionLexicon":
         return cls({}, Counter(), {})
-
-    def is_empty(self) -> bool:
-        return not self.replacements and not self.deletions and not self.insertions
 
     def check(self) -> None:
         def check_phrase(phrase: tuple[str, ...]) -> None:
@@ -160,23 +156,6 @@ class NGramLM:
             if ctx in self.totals:
                 p = self.interp * self.ml_prob(w, ctx) + (1.0 - self.interp) * p
         return p
-
-    def logprob(self, tokens: TokenSeq) -> float:
-        """Sentence log-probability including the end token."""
-        ctx = (BOS,) * (self.order - 1)
-        total = 0.0
-        for tok in list(tokens) + [EOS]:
-            total += math.log(self.prob(tok, ctx))
-            if self.order > 1:
-                ctx = (ctx + (tok,))[-(self.order - 1) :]
-        return total
-
-    def perplexity(self, corpus: list[TokenSeq]) -> float:
-        tokens = sum(len(s) + 1 for s in corpus)
-        if tokens == 0:
-            raise ValueError("empty corpus")
-        log_total = sum(self.logprob(s) for s in corpus)
-        return math.exp(-log_total / tokens)
 
 
 def train_lm(

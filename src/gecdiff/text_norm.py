@@ -42,10 +42,6 @@ _ATTACH_LEFT = {",", ".", ";", ":", "!", "?", ")", "]"}
 _ATTACH_RIGHT = {"(", "["}
 
 
-def is_tag_token(token: str) -> bool:
-    return token in TAG_TOKENS
-
-
 def is_domain_token(token: str) -> bool:
     # the prefix test is exact (the pattern starts with it) and spares the regex
     return token.startswith("<dom:") and _DOMAIN_RE.fullmatch(token) is not None

@@ -305,6 +305,24 @@ class TestDecodePipeline:
         for ext in ("tag", "kbest", "best", "reranked"):
             assert Path(f"omitted.{ext}").read_bytes() == Path(f"zero.{ext}").read_bytes()
 
+    def test_rerank_reads_a_legacy_dump_alike(self):
+        # older dumps carried each step's four tag probabilities as
+        # tag_probs, which the reader ignores
+        lines = self.kbest_for("teh mouse sat\nsee teh bird\n")
+        legacy = []
+        for line in lines:
+            rec = json.loads(line)
+            assert list(rec) == ["id", "tokens", "probs", "eos"]
+            eos, tag_probs = rec.pop("eos"), [[0.25, 0.0, 0.5, 0.0]] * len(rec["probs"])
+            legacy.append(json.dumps({**rec, "tag_probs": tag_probs, "eos": eos}))
+        write("legacy.jsonl", "\n".join(legacy) + "\n")
+        for name in ("kb", "legacy"):
+            args = ["--kbest", f"{name}.jsonl", "--bias", "0.2", "--src", "test.src"]
+            args += ["--out", f"{name}.best", "--kbest-out", f"{name}.reranked"]
+            assert main(["rerank", *args]) == 0
+        for ext in ("best", "reranked"):
+            assert Path(f"kb.{ext}").read_bytes() == Path(f"legacy.{ext}").read_bytes()
+
     def kbest_for(self, sources: str) -> list[str]:
         model = train_model()
         write("test.src", sources)
@@ -568,8 +586,7 @@ class TestLineErrors:
         assert not Path("o.txt").exists()
 
     def test_rerank_rejects_reserved_token_in_source(self, capsys):
-        write("kb.jsonl", '{"id": 0, "tokens": ["a"], "probs": [1.0], '
-              '"tag_probs": [[0, 0, 0, 0]], "eos": false}\n')
+        write("kb.jsonl", '{"id": 0, "tokens": ["a"], "probs": [1.0], "eos": false}\n')
         write("s.txt", "<dom:x> a\n")
         self.fails_with(
             capsys,

@@ -482,7 +482,7 @@ def test_readers_match_the_list_reader_they_replace(tmp_path, data):
 
 
 KBEST_LINE = json.dumps(
-    {"id": 0, "tokens": ["a"], "probs": [0.5], "tag_probs": [[0, 0, 0, 0]], "eos": False}
+    {"id": 0, "tokens": ["a"], "probs": [0.5], "eos": False}
 )
 TEH = [(["teh", "cat"], ["the", "cat"]), (["see", "teh"], ["see", "the"])]
 

@@ -22,7 +22,6 @@ from gecdiff.decode_bias import (
     _check_dist,
     _grid_values,
     _moves,
-    _ranked_moves,
     _safe_log,
     beam_decode,
     grid_search_tune,
@@ -104,6 +103,17 @@ class FuzzScorer:
 SRC = ["u", "v", "w"]
 
 
+def oracle_ranked_moves(candidates, offsets):
+    """``(log of ranking value, token, p)`` in move order, as one list.
+
+    The move-order oracle: a row's two halves merged under ``offsets`` must
+    read the same.
+    """
+    moves = _moves(candidates, offsets)
+    moves.sort()
+    return [(_safe_log(-r), t, p) for r, t, p in moves]
+
+
 class TestBiasVector:
     def test_parse_tied_and_full(self):
         assert BiasVector.parse("0.3") == BiasVector.tied(0.3)
@@ -127,11 +137,24 @@ class TestBiasVector:
         assert ranks[INS_OPEN] == pytest.approx(0.4)
         assert ranks[INS_CLOSE] == pytest.approx(0.1)
         # ties go to the smaller token; the probability itself is kept
-        order = [(t, p) for _, t, p in _ranked_moves(dist.items(), offsets)]
+        order = [(t, p) for _, t, p in oracle_ranked_moves(dist.items(), offsets)]
         assert order == [
             (DEL_OPEN, 0.1), ("x", 0.5), (INS_OPEN, 0.2),
             (DEL_CLOSE, 0.0), (EOS, 0.2), (INS_CLOSE, 0.0),
         ]
+
+
+class TenthScorer:
+    """Gives each of five words, the four tags and the end 0.1 at every step."""
+
+    def start(self, source):
+        return 0
+
+    def step(self, state, token):
+        return state + 1
+
+    def dist(self, state):
+        return dict.fromkeys(("u", "v", "w", "x", "y", *TAG_TOKENS, EOS), 0.1)
 
 
 class TestBeamDecode:
@@ -197,9 +220,12 @@ class TestBeamDecode:
     def test_token_logprob_bookkeeping(self):
         h = beam_decode(CopyScorer(), SRC, DecodeConfig(beam=1))[0]
         # terminated: one entry per token plus the end step
-        assert len(h.token_logprobs) == len(h.raw) + 1
-        assert len(h.tag_probs) == len(h.token_logprobs)
-        assert h.score == pytest.approx(sum(h.token_logprobs))
+        assert len(h.probs) == len(h.raw) + 1
+        # the score is the sum of the steps' logs, in order
+        for beam in (1, 4):
+            for h in beam_decode(FuzzScorer(3), SRC, DecodeConfig(beam=beam)):
+                assert len(h.probs) == len(h.raw) + h.terminated
+                assert h.score == sum(map(_safe_log, h.probs))
 
 
 class TestConstrained:
@@ -323,8 +349,37 @@ class TestKBest:
         rec = record_from_hypothesis(0, h)
         assert rec.eos
         assert len(rec.probs) == len(rec.tokens) + 1
-        assert len(rec.tag_probs) == len(rec.probs)
         assert all(0.0 <= p <= 1.0 for p in rec.probs)
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["free", "con"])
+    @pytest.mark.parametrize("beam", [3, 10])
+    def test_dump_holds_the_decoders_p(self, tmp_path, beam, constrained):
+        # every step has p = 0.1, which exp(log p) does not give back
+        assert math.exp(math.log(0.1)) != 0.1
+        cfg = DecodeConfig(beam=beam, constrained=constrained, bias=BiasVector.tied(0.3))
+        hyps = beam_decode(TenthScorer(), SRC, cfg)
+        assert any(t in TAG_TOKENS for h in hyps for t in h.raw)
+        records = [record_from_hypothesis(0, h) for h in hyps]
+        assert all(rec.probs and set(rec.probs) == {0.1} for rec in records)
+        path = str(tmp_path / "kb.jsonl")
+        write_kbest(records, path)
+        back = read_kbest(path)
+        assert back == records
+        assert [rec.selection_score(cfg.bias) for rec in back] == [h.selection_score for h in hyps]
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["free", "con"])
+    def test_rerank_at_the_decode_bias_reproduces_the_decoder(self, tmp_path, constrained):
+        ref, sources = synthetic_ref_scorer(3, edit_weight=0.003)
+        for bias in (BiasVector(), BiasVector.tied(0.3), BiasVector(0.7, 0.1, 0.5, 0.0)):
+            cfg = DecodeConfig(beam=10, constrained=constrained, bias=bias)
+            hyps = [(sid, h) for sid, src in enumerate(sources) for h in beam_decode(ref, src, cfg)]
+            path = str(tmp_path / "kb.jsonl")
+            write_kbest([record_from_hypothesis(sid, h) for sid, h in hyps], path)
+            back = read_kbest(path)
+            want = [h.selection_score for _, h in hyps]
+            assert [rec.selection_score(bias) for rec in back] == want
+            # the decoder's order is the rerank's: by score, ties to the tokens
+            assert rerank_kbest(back, bias) == back
 
     def test_round_trip(self, tmp_path):
         records = self.make_records()
@@ -334,7 +389,7 @@ class TestKBest:
 
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": 0, "tokens": ["a"], "probs": [0.5, 0.5], "tag_probs": [[0,0,0,0]], "eos": true}\n')
+        path.write_text('{"id": 0, "tokens": ["a"], "probs": [0.5, 0.5, 0.5], "eos": true}\n')
         with pytest.raises(ValueError) as err:
             read_kbest(str(path))
         assert "1" in str(err.value)
@@ -347,12 +402,10 @@ class TestKBest:
             pytest.param(("id",), 1.9, id="id-float"),
             pytest.param(("id",), True, id="id-bool"),
             pytest.param(("id",), "0", id="id-string"),
-            pytest.param(("tag_probs", -1), [0.0, 0.0, 0.0], id="tag-probs-3-values"),
             pytest.param(("probs", 0), "nan", id="prob-nan-string"),
             pytest.param(("probs", 0), float("nan"), id="prob-nan"),
             pytest.param(("probs", 0), -0.25, id="prob-negative"),
             pytest.param(("probs", 0), 1.5, id="prob-above-one"),
-            pytest.param(("tag_probs", 0, 2), float("inf"), id="tag-prob-inf"),
         ],
     )
     def test_read_rejects_bad_field(self, tmp_path, where, value):
@@ -405,7 +458,7 @@ class TestKBest:
             read_kbest(str(path))
 
     def test_selection_score_recomputed(self):
-        rec = KBestRecord(0, ("a", DEL_OPEN), (0.5, 0.25, 0.9), ((0.0,) * 4, (0.25, 0.0, 0.0, 0.0), (0.0,) * 4), True)
+        rec = KBestRecord(0, ("a", DEL_OPEN), (0.5, 0.25, 0.9), True)
         base = rec.selection_score(BiasVector())
         assert base == pytest.approx(math.log(0.5) + math.log(0.25) + math.log(0.9))
         lifted = rec.selection_score(BiasVector(del_open=0.5))
@@ -414,10 +467,8 @@ class TestKBest:
         )
 
     def test_rerank_changes_order_under_bias(self):
-        plain = KBestRecord(0, ("x",), (0.6, 0.9), ((0.0,) * 4, (0.0,) * 4), True)
-        tagged = KBestRecord(
-            0, (DEL_OPEN,), (0.3, 0.9), ((0.3, 0.0, 0.0, 0.0), (0.0,) * 4), True
-        )
+        plain = KBestRecord(0, ("x",), (0.6, 0.9), True)
+        tagged = KBestRecord(0, (DEL_OPEN,), (0.3, 0.9), True)
         assert rerank_kbest([plain, tagged], BiasVector())[0] == plain
         assert rerank_kbest([plain, tagged], BiasVector(del_open=1.0))[0] == tagged
 
@@ -455,8 +506,6 @@ def oracle_rerank_kbest(records, bias):
 
 def oracle_read_kbest(path):
     """``read_kbest`` as it was before it shared values."""
-    from itertools import chain
-
     from gecdiff.corpus_io import iter_lines
 
     out = []
@@ -467,23 +516,20 @@ def oracle_read_kbest(path):
             obj = json.loads(line)
             sid, eos, tokens = obj["id"], obj["eos"], obj["tokens"]
             probs = tuple(map(float, obj["probs"]))
-            tag_probs = tuple(tuple(map(float, t)) for t in obj["tag_probs"])
             if type(sid) is not int:
                 raise ValueError(f"id must be an integer, got {sid!r}")
             if type(eos) is not bool:
                 raise ValueError(f"eos must be true or false, got {eos!r}")
             if type(tokens) is not list or not all(type(t) is str for t in tokens):
                 raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
-            if any(len(t) != 4 for t in tag_probs):
-                raise ValueError("each tag_probs entry needs 4 values")
-            if not all(0.0 <= p <= 1.0 for p in chain(probs, *tag_probs)):
+            if not all(0.0 <= p <= 1.0 for p in probs):
                 raise ValueError("probabilities must be numbers in [0, 1]")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad k-best record: {exc}") from exc
         expect = len(tokens) + (1 if eos else 0)
-        if len(probs) != expect or len(tag_probs) != expect:
+        if len(probs) != expect:
             raise ValueError(f"{path}:{lineno}: expected {expect} probability entries")
-        out.append(KBestRecord(sid, tuple(tokens), probs, tag_probs, eos))
+        out.append(KBestRecord(sid, tuple(tokens), probs, eos))
     return out
 
 
@@ -509,8 +555,7 @@ def random_records(seed: int, n: int = 60) -> list[KBestRecord]:
             eos = rng.random() < 0.6
             steps = len(tokens) + eos
             probs = tuple(prob() for _ in range(steps))
-            tag_probs = tuple(tuple(prob() for _ in range(4)) for _ in range(steps))
-            out.append(KBestRecord(sid, tokens, probs, tag_probs, eos))
+            out.append(KBestRecord(sid, tokens, probs, eos))
     return out
 
 
@@ -548,19 +593,17 @@ class TestRerankFromCachedLogs:
         assert rerank_kbest(back, BiasVector()) == oracle_rerank_kbest(records, None)
 
     @pytest.mark.parametrize(
-        "tokens, probs, tags, eos",
+        "tokens, probs, eos",
         [
-            pytest.param(("a", DEL_OPEN, "b"), 2, 2, True, id="probs-short"),
-            pytest.param((DEL_OPEN,), 3, 3, False, id="probs-long"),
-            pytest.param(("a",), 2, 1, True, id="tag-probs-short"),
-            pytest.param(("a",), 1, 2, False, id="tag-probs-long"),
-            pytest.param((), 0, 0, True, id="eos-without-step"),
+            pytest.param(("a", DEL_OPEN, "b"), 2, True, id="probs-short"),
+            pytest.param((DEL_OPEN,), 3, False, id="probs-long"),
+            pytest.param((), 0, True, id="eos-without-step"),
         ],
     )
-    def test_mismatched_lengths_do_not_construct(self, tokens, probs, tags, eos):
+    def test_mismatched_lengths_do_not_construct(self, tokens, probs, eos):
         # a record built by hand used to score the shorter of tokens and probs
         with pytest.raises(ValueError, match="probability entries"):
-            KBestRecord(0, tokens, (0.5,) * probs, ((0.0,) * 4,) * tags, eos)
+            KBestRecord(0, tokens, (0.5,) * probs, eos)
 
     def test_cache_is_not_a_field(self):
         rec = random_records(0)[0]
@@ -577,7 +620,6 @@ class TestReadSharesValues:
         back = read_kbest(path)
         for values in (
             [t for r in back for t in r.tokens],
-            [t for r in back for t in r.tag_probs],
             [p for r in back for p in r.probs],
         ):
             assert len({id(v) for v in values}) == len(set(values)) < len(values)
@@ -587,18 +629,19 @@ class TestReadSharesValues:
         write_kbest(random_records(5), path)
         first, second = read_kbest(path), read_kbest(path)
         assert first == second
-        assert first[0].tag_probs[0] is not second[0].tag_probs[0]
+        pairs = [(p, q) for a, b in zip(first, second) for p, q in zip(a.probs, b.probs)]
+        assert pairs and not any(p is q for p, q in pairs)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["positive-first", "negative-first"])
     def test_negative_zero_rewrites_byte_identically(self, tmp_path, zero):
         # -0.0 == 0.0 and they hash alike, so a table keyed on values would
-        # hand one line's zero, or its tag tuple, to the other line
+        # hand one line's zero to the other line
         other = -zero
         records = [
-            KBestRecord(0, ("a",), (zero, 0.5), ((zero, 0.0, 0.0, 0.0), (0.0, zero, 1e-05, 0.0)), True),
-            KBestRecord(0, ("a",), (other, 0.5), ((other, 0.0, 0.0, 0.0), (0.0, other, 1e-05, 0.0)), True),
-            KBestRecord(1, ("e-mail",), (zero,), ((zero, 0.0, 0.0, 0.0),), False),
-            KBestRecord(1, ("b",), (other,), ((other, 0.0, 0.0, 0.0),), False),
+            KBestRecord(0, ("a",), (zero, 1e-05), True),
+            KBestRecord(0, ("a",), (other, 1e-05), True),
+            KBestRecord(1, ("e-mail",), (zero,), False),
+            KBestRecord(1, ("b",), (other,), False),
         ]
         path, again = tmp_path / "kb.jsonl", tmp_path / "again.jsonl"
         write_kbest(records, str(path))
@@ -609,19 +652,19 @@ class TestReadSharesValues:
     @pytest.mark.parametrize(
         "entries",
         [
-            pytest.param("[[0, 0, 0, 0]]", id="ints"),
-            pytest.param("[[1, 0, 0, 1]]", id="int-ones"),
-            pytest.param("[[-0, 0.0, 0e0, 0]]", id="zero-spellings"),
-            pytest.param("[[-0e0, 0.0, 0, 0]]", id="negative-zero-exponent"),
-            pytest.param("[[-1e-400, 0.0, 0, 0]]", id="negative-underflow"),
+            pytest.param("[0, 0, 0, 0]", id="ints"),
+            pytest.param("[1, 0, 0, 1]", id="int-ones"),
+            pytest.param("[-0, 0.0, 0e0, 0]", id="zero-spellings"),
+            pytest.param("[-0e0, 0.0, 0, 0]", id="negative-zero-exponent"),
+            pytest.param("[-1e-400, 0.0, 0, 0]", id="negative-underflow"),
         ],
     )
     def test_odd_spellings_read_and_rewrite_as_before(self, tmp_path, entries):
-        # the entry follows an earlier line whose tag tuple equals it in value
+        # the probabilities follow an earlier line's that equal them in value
         path = tmp_path / "kb.jsonl"
         path.write_text(
-            '{"id": 0, "tokens": [], "probs": [0.0], "tag_probs": [[0.0, 0.0, 0.0, 0.0]], "eos": true}\n'
-            '{"id": 0, "tokens": [], "probs": [0.0], "tag_probs": ' + entries + ', "eos": true}\n',
+            '{"id": 0, "tokens": ["a", "b", "c"], "probs": [0.0, 0.0, 0.0, 0.0], "eos": true}\n'
+            '{"id": 0, "tokens": ["a", "b", "c"], "probs": ' + entries + ', "eos": true}\n',
             encoding="utf-8",
         )
         got, want = read_kbest(str(path)), oracle_read_kbest(str(path))
@@ -631,27 +674,25 @@ class TestReadSharesValues:
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
-        "field, number, spelling",
+        "number, spelling",
         [
-            pytest.param("tag_probs", "[[0.5, 0, 0, 0]]", '[["0.5", 0, 0, 0]]', id="number-strings"),
-            pytest.param("tag_probs", "[[0.0, 0, 0, 0]]", '[["-0.0", 0, 0, 0]]', id="negative-zero-string"),
+            pytest.param("[0.5, 0, 0, 0]", '["0.5", 0, 0, 0]', id="number-strings"),
+            pytest.param("[0.0, 0, 0, 0]", '["-0.0", 0, 0, 0]', id="negative-zero-string"),
             pytest.param(
-                "tag_probs", "[[0.0, 0, 0, 0]]", '[["\\u002d0.0", 0, 0, 0]]',
-                id="escaped-negative-zero-string",
+                "[0.0, 0, 0, 0]", '["\\u002d0.0", 0, 0, 0]', id="escaped-negative-zero-string"
             ),
-            pytest.param("tag_probs", "[[1.0, 0.0, 0, 0]]", "[[true, false, 0, 0]]", id="booleans"),
-            pytest.param("tag_probs", "[[1, 0, 0, 0]]", "[[true, 0, 0, 0]]", id="boolean-after-int"),
-            pytest.param("probs", "[0.5]", '["0.5"]', id="prob-number-string"),
-            pytest.param("probs", "[1.0]", "[true]", id="prob-boolean"),
-            pytest.param("probs", "[0]", "[false]", id="prob-boolean-after-int"),
+            pytest.param("[1.0, 0.0, 0, 0]", "[true, false, 0, 0]", id="booleans"),
+            pytest.param("[1, 0, 0, 0]", "[true, 0, 0, 0]", id="boolean-after-int"),
+            pytest.param("[0.5]", '["0.5"]', id="prob-number-string"),
+            pytest.param("[1.0]", "[true]", id="prob-boolean"),
+            pytest.param("[0]", "[false]", id="prob-boolean-after-int"),
         ],
     )
-    def test_numbers_only(self, tmp_path, field, number, spelling):
+    def test_numbers_only(self, tmp_path, number, spelling):
         # line 1 holds the same values as numbers, so line 2 would share
         # them if a string or a boolean were taken for the number it equals
-        fields = {"id": "0", "tokens": "[]", "probs": "[0.5]",
-                  "tag_probs": "[[0.5, 0.0, 0.0, 0.0]]", "eos": "true"}
-        lines = ["{" + ", ".join(f'"{k}": {v}' for k, v in dict(fields, **{field: v}).items()) + "}"
+        tokens = json.dumps(["a"] * number.count(","))  # a token per step but the end
+        lines = [f'{{"id": 0, "tokens": {tokens}, "probs": {v}, "eos": true}}'
                  for v in (number, spelling)]
         path = tmp_path / "kb.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -663,10 +704,10 @@ class TestReadSharesValues:
         )
 
     def test_words_true_and_false_read_as_before(self, tmp_path):
-        # a line naming true or false besides eos reads without the tables
+        # a line naming true or false besides eos has every value checked
         records = [
-            KBestRecord(0, ("true",), (1.0,), ((1.0, 0.0, 0.0, 0.0),), False),
-            KBestRecord(0, ("false", "a"), (1.0, 0.0, 0.5), ((1.0, 0.0, 0.0, 0.0),) * 3, True),
+            KBestRecord(0, ("true",), (1.0,), False),
+            KBestRecord(0, ("false", "a"), (1.0, 0.0, 0.5), True),
         ]
         path = str(tmp_path / "kb.jsonl")
         write_kbest(records, path)
@@ -698,9 +739,11 @@ class TestReadSharesValues:
         ],
     )
     def test_rejections_match_oracle(self, tmp_path, field, value):
-        # line 1 is valid and shares its tag tuple with line 2, so line 2
-        # reads through the shared table; the last two also spoil line 2's
-        # tag entry, which the old reader reported after id and eos
+        # Line 1 is valid and shares its values with line 2, so line 2 reads
+        # through the shared tables.  Both carry the tag_probs field of older
+        # dumps, which the reader ignores whatever it holds: a line spoiled
+        # only there reads as it does without the field.  The last two spoil
+        # it besides id or eos, and the id or eos error is the one reported.
         fields = {"id": "0", "tokens": '["e-mail"]', "probs": "[0.5]",
                   "tag_probs": "[[0.0, 0.0, 0.0, 0.0]]", "eos": "false"}
         good = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
@@ -710,12 +753,45 @@ class TestReadSharesValues:
         bad = "{" + ", ".join(f'"{k}": {v}' for k, v in spoiled.items()) + "}"
         path = str(tmp_path / "kb.jsonl")
         (tmp_path / "kb.jsonl").write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        if field == "tag_probs":
+            want = [KBestRecord(0, ("e-mail",), (0.5,), False)] * 2
+            assert read_kbest(path) == oracle_read_kbest(path) == want
+            return
         with pytest.raises(ValueError) as want:
             oracle_read_kbest(path)
         with pytest.raises(ValueError) as got:
             read_kbest(path)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{path}:2: ")
+
+    def test_legacy_tag_probs_field_is_ignored(self, tmp_path):
+        # a dump as older versions wrote it: each step's four tag
+        # probabilities besides the chosen token's
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_text(
+            '{"id": 0, "tokens": ["a", "<del>", "b", "</del>"], '
+            '"probs": [0.5, 0.25, 0.875, 0.75, 0.5], "tag_probs": [[0.25, 0.0, 0.0625, 0.0], '
+            '[0.0, 0.0, 0.0, 0.0], [0.0, 0.125, 0.0, 0.0], [0.0, 0.75, 0.0, 0.0], '
+            '[0.0, 0.0, 0.125, 0.0]], "eos": true}\n'
+            '{"id": 0, "tokens": ["a", "b"], "probs": [0.5, 0.0625], '
+            '"tag_probs": [[0.25, 0.0, 0.0625, 0.0], [0.0, 0.0, 0.0, 0.0]], "eos": false}\n',
+            encoding="utf-8",
+        )
+        current = tmp_path / "current.jsonl"
+        current.write_text(
+            "".join(
+                json.dumps({k: v for k, v in json.loads(line).items() if k != "tag_probs"}) + "\n"
+                for line in legacy.read_text(encoding="utf-8").splitlines()
+            ),
+            encoding="utf-8",
+        )
+        got = read_kbest(str(legacy))
+        assert got == read_kbest(str(current)) == oracle_read_kbest(str(legacy))
+        tokens = ("a", DEL_OPEN, "b", DEL_CLOSE)
+        assert got[0] == KBestRecord(0, tokens, (0.5, 0.25, 0.875, 0.75, 0.5), True)
+        rewritten = tmp_path / "rewritten.jsonl"
+        write_kbest(got, str(rewritten))
+        assert rewritten.read_bytes() == current.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +900,7 @@ class _Beam:
     auto: OracleAuto
     selection: float
     score: float
-    logps: tuple[float, ...]
-    tagps: tuple[tuple[float, float, float, float], ...]
+    probs: tuple[float, ...]
 
 
 def oracle_beam_decode(scorer, source, cfg, unbiased=False):
@@ -844,20 +919,14 @@ def oracle_beam_decode(scorer, source, cfg, unbiased=False):
         )
     offsets = None if unbiased else cfg.bias.as_map()
 
-    live = [_Beam((), scorer.start(source), OracleAuto(), 0.0, 0.0, (), ())]
+    live = [_Beam((), scorer.start(source), OracleAuto(), 0.0, 0.0, ())]
     done: list[_Beam] = []
     for step_no in range(max_len):
         budget = max_len - step_no
-        pool: list[tuple[float, tuple[str, ...], _Beam, str, float, tuple]] = []
+        pool: list[tuple[float, tuple[str, ...], _Beam, str, float]] = []
         for item in live:
             dist = scorer.dist(item.state)
             _check_dist(dist)
-            tagp = (
-                dist.get(DEL_OPEN, 0.0),
-                dist.get(DEL_CLOSE, 0.0),
-                dist.get(INS_OPEN, 0.0),
-                dist.get(INS_CLOSE, 0.0),
-            )
             if cfg.constrained:
                 mask = item.auto.allowed(source, dist, budget)
                 candidates = [(t, dist.get(t, 0.0)) for t in sorted(mask)]
@@ -874,17 +943,16 @@ def oracle_beam_decode(scorer, source, cfg, unbiased=False):
             ranked.sort(key=lambda x: (-x[0], x[1]))
             for rank, tok, p in ranked[: cfg.beam]:
                 sel = item.selection + _safe_log(rank)
-                pool.append((sel, item.raw + (tok,), item, tok, p, tagp))
+                pool.append((sel, item.raw + (tok,), item, tok, p))
         if not pool:
             break
         pool.sort(key=lambda x: (-x[0], x[1]))
         live = []
-        for sel, raw, item, tok, p, tagp in pool[: cfg.beam]:
-            logps = item.logps + (_safe_log(p),)
-            tagps = item.tagps + (tagp,)
+        for sel, raw, item, tok, p in pool[: cfg.beam]:
+            probs = item.probs + (p,)
             score = item.score + _safe_log(p)
             if tok == EOS:
-                done.append(_Beam(item.raw, None, item.auto, sel, score, logps, tagps))
+                done.append(_Beam(item.raw, None, item.auto, sel, score, probs))
             else:
                 live.append(
                     _Beam(
@@ -893,8 +961,7 @@ def oracle_beam_decode(scorer, source, cfg, unbiased=False):
                         item.auto.advance(source, tok),
                         sel,
                         score,
-                        logps,
-                        tagps,
+                        probs,
                     )
                 )
         if len(done) >= cfg.beam or not live:
@@ -909,8 +976,7 @@ def oracle_beam_decode(scorer, source, cfg, unbiased=False):
                 tagged=tuple(repair(list(b.raw), source)),
                 raw=b.raw,
                 score=b.score,
-                token_logprobs=b.logps,
-                tag_probs=b.tagps,
+                probs=b.probs,
                 selection_score=b.selection,
                 terminated=b.state is None,
             )
@@ -1442,13 +1508,13 @@ def test_split_rows_decode_as_the_reference(scs, sources, biases, constrained, b
                 table = decode_bias._Table(sc)
                 assert beam_decode(table, src, cfg) == oracle_beam_decode(sc, src, cfg)
                 offsets = bias.as_map()
-                for dist, _, plain, tags, _ in table.rows.values():
+                for dist, plain, tags, _ in table.rows.values():
                     kinds |= row_kinds(dist, offsets)
                     # the halves merged under the offsets are every positive
                     # move in move order, each with the log of its ranking value
                     merged = sorted([*plain, *decode_bias._tag_moves(tags, offsets)])
                     positive = [(t, p) for t, p in dist.items() if p > 0.0]
-                    want = _ranked_moves(positive, offsets)
+                    want = oracle_ranked_moves(positive, offsets)
                     assert [(lr, t, p) for _, t, p, _, lr in merged] == want
                     assert all(lp == _safe_log(p) for _, _, p, lp, _ in merged)
     if isinstance(scs[0], DyadicScorer):

@@ -19,7 +19,6 @@ from gecdiff.text_norm import (
     find_reserved,
     is_domain_token,
     is_reserved_token,
-    is_tag_token,
     same_tokens,
     tokenize,
 )
@@ -69,9 +68,9 @@ def test_tokenize_idempotent(text):
 
 def test_tag_tokens_recognized():
     for t in (DEL_OPEN, DEL_CLOSE, INS_OPEN, INS_CLOSE):
-        assert is_tag_token(t)
+        assert t in TAG_TOKENS
         assert is_reserved_token(t)
-    assert not is_tag_token("<dom:physics>")
+    assert "<dom:physics>" not in TAG_TOKENS
     assert is_domain_token("<dom:physics>")
     assert is_reserved_token("<dom:physics>")
     assert not is_reserved_token("word")
