@@ -590,15 +590,19 @@ class KBestRecord:
         """The selection score under tag ``offsets`` (``BiasVector.as_map``).
 
         Only the tag steps are scored again: any other step adds 0.0 to its
-        probability, which leaves its log as cached.  ``sum`` adds the steps
-        in order, as it always has, so the score is the same float.
+        probability, which leaves its log as cached.
         """
         logs, tags = self._unbiased
         if tags:
             logs = logs[:]
             for i in tags:
                 logs[i] = _safe_log(_biased(self.probs[i], self.tokens[i], offsets))
-        return sum(logs)
+        # added left to right, as the decoder adds them: CPython 3.12 made
+        # sum() of floats compensated, which would move the last bit
+        total = 0.0
+        for v in logs:
+            total += v
+        return total
 
     def selection_score(self, bias: BiasVector) -> float:
         """The selection score under ``bias``.
