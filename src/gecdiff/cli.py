@@ -177,8 +177,8 @@ def _cmd_filter(args):
     else:
         if args.rules:
             raise ValueError("--rules only applies to the lang8 preset")
-        src_max, tgt_max, tagged, view = PRESETS[args.preset]
-        kept, report = length_filter(pairs, src_max, tgt_max, tagged, view)
+        src_max, tgt_max, view = PRESETS[args.preset]
+        kept, report = length_filter(pairs, src_max, tgt_max, view)
     write_parallel(args.out_src, args.out_tgt, kept, args.out_domain or None)
     print(f"kept {report.retained}/{report.input}")
     for rule, count in report.drops.items():

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, TextIO
 from .edit_extract import Edit, edits_from_tagged
 from .diff_codec import encode_diffs
 from .metrics import GoldAnnotation
-from .text_norm import TokenSeq, find_reserved, is_reserved_token, tokenize
+from .text_norm import TokenSeq, domain_token, find_reserved, is_reserved_token, tokenize
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,10 @@ def load_parallel(
         domains = []
         for n, line in enumerate(dom_lines, 1):
             label = line.strip()
-            if not label:
-                raise ValueError(f"{dom_path}:{n}: empty domain label")
+            try:
+                domain_token(label)  # the one rule for a domain name
+            except ValueError as exc:
+                raise ValueError(f"{dom_path}:{n}: {exc}") from None
             domains.append(label)
     else:
         domains = [None] * len(src_lines)
@@ -199,11 +201,11 @@ def write_token_lines(path: str, seqs: list[TokenSeq]) -> None:
 # ---------------------------------------------------------------------------
 # filters
 
-# (src cap, tgt cap, measure tagged target, view)
-PRESETS: dict[str, tuple[int, int, bool, str]] = {
-    "aesw": (126, 126, True, "word"),
-    "aesw-char": (421, 421, True, "char"),
-    "conll": (79, 100, True, "word"),
+# (src cap, tgt cap, view)
+PRESETS: dict[str, tuple[int, int, str]] = {
+    "aesw": (126, 126, "word"),
+    "aesw-char": (421, 421, "char"),
+    "conll": (79, 100, "word"),
 }
 
 
@@ -222,13 +224,12 @@ def length_filter(
     pairs: list[SentencePair],
     src_max: int,
     tgt_max: int,
-    tagged: bool = True,
     view: str = "word",
 ) -> tuple[list[SentencePair], FilterReport]:
     """Drop pairs whose measured lengths exceed the caps.
 
-    With tagged=True the target is measured as the diff-tagged sequence.
-    Pairs carrying a domain label get one extra slot on both sides.
+    The target is measured as the diff-tagged sequence.  Pairs carrying a
+    domain label get one extra slot on both sides.
     """
     if src_max < 1 or tgt_max < 1:
         raise ValueError("length caps must be >= 1")
@@ -237,10 +238,7 @@ def length_filter(
     for p in pairs:
         extra = 1 if p.domain is not None else 0
         src_len = _measured_length(list(p.source), view)
-        tgt_tokens = (
-            encode_diffs(list(p.source), list(p.target)) if tagged else list(p.target)
-        )
-        tgt_len = _measured_length(tgt_tokens, view)
+        tgt_len = _measured_length(encode_diffs(list(p.source), list(p.target)), view)
         if src_len > src_max + extra:
             drops["src-too-long"] += 1
         elif tgt_len > tgt_max + extra:
@@ -403,9 +401,11 @@ def load_m2_gold(path: str) -> list[GoldAnnotation]:
                 continue
             if not 0 <= start <= end <= len(source):
                 raise ValueError(f"{where}: span {start} {end} outside source")
-            edits.setdefault(annotator, []).append(
-                Edit(start, end, tuple(source[start:end]), replacement, words(kind))
-            )
+            try:  # an empty span with no replacement is no edit
+                edit = Edit(start, end, tuple(source[start:end]), replacement, words(kind))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            edits.setdefault(annotator, []).append(edit)
         else:
             raise ValueError(f"{where}: unrecognized line {line!r}")
     flush(f"{path}:end")

@@ -2,8 +2,8 @@
 
 The decoder is scorer-agnostic: anything exposing ``start``/``step``/``dist``
 can drive it.  A BiasVector adds an offset in [0,1] to the probability of
-each diff-tag token, used for candidate ranking only; accumulated hypothesis
-scores stay unbiased log-probabilities, which makes zero bias exactly neutral.
+each diff-tag token, used for candidate ranking only; a hypothesis keeps
+each step's probability as the scorer gave it, so zero bias is exactly neutral.
 
 Tokens whose probability is exactly 0.0 are treated as structurally
 impossible and are never expanded, bias or not.  Scorers use this to rule
@@ -136,8 +136,9 @@ class Hypothesis:
 
     tagged: tuple[str, ...]
     raw: tuple[str, ...]
-    score: float  # sum of unbiased log-probabilities
-    probs: tuple[float, ...]  # each step's probability, as the scorer gave it
+    # each step's probability, as the scorer gave it: the decode's one record
+    # of its steps, which any score is rebuilt from (``KBestRecord``)
+    probs: tuple[float, ...]
     selection_score: float
     terminated: bool
 
@@ -162,7 +163,7 @@ class _Auto(NamedTuple):
     consumed: int = 0
     span_len: int = 0
 
-    def advance(self, source: TokenSeq, token: str) -> "_Auto":
+    def advance(self, token: str) -> "_Auto":
         if token in TAG_TOKENS:
             nxt = NEXT_MODE.get((self.mode, token))
             # a tag illegal here leaves the automaton as it is; ``allowed``
@@ -210,7 +211,6 @@ class _Beam(NamedTuple):
     state: object
     auto: _Auto
     selection: float
-    score: float
     probs: tuple[float, ...]
 
 
@@ -241,19 +241,19 @@ def _moves(
     return [(-_biased(p, t, offsets), t, p) for t, p in candidates]
 
 
-# A move as the decoder reads it: ``(-ranking value, token, p, log p, log of
-# ranking value)``.  Moves order as ``_moves`` does; the token decides a tie,
-# so the last three fields are never compared.
-_Move = tuple[float, str, float, float, float]
-_NO_MOVE: _Move = (math.inf, "", 0.0, 0.0, 0.0)  # ranks below every move
+# A move as the decoder reads it: ``(-ranking value, token, p, log of ranking
+# value)``.  Moves order as ``_moves`` does; the token decides a tie, so the
+# last two fields are never compared.
+_Move = tuple[float, str, float, float]
+_NO_MOVE: _Move = (math.inf, "", 0.0, 0.0)  # ranks below every move
 
 
 def _tag_moves(tags: tuple[_Move, ...], offsets: dict[str, float]) -> list[_Move]:
     """A row's tag half under ``offsets``: each move ranked on ``p`` plus its offset."""
     moves = []
-    for _, t, p, log_p, _ in tags:
+    for _, t, p, _ in tags:
         value = _biased(p, t, offsets)
-        moves.append((-value, t, p, log_p, _safe_log(value)))
+        moves.append((-value, t, p, _safe_log(value)))
     return moves
 
 
@@ -261,7 +261,7 @@ def _zero_moves(dist: dict[str, float], mask: set[str], offsets: dict[str, float
     """The moves ``mask`` permits, in move order, when none has a positive probability."""
     moves = _moves(((t, dist.get(t, 0.0)) for t in mask), offsets)
     moves.sort()
-    return [(r, t, p, _safe_log(p), _safe_log(-r)) for r, t, p in moves]
+    return [(r, t, p, _safe_log(-r)) for r, t, p in moves]
 
 
 class _Table:
@@ -271,14 +271,13 @@ class _Table:
     ``(dist, plain, tags, nexts)``: its distribution, checked once; its
     positive moves, split in two halves; and the states its steps reach,
     by token.  The bias-free half ``plain`` is the non-tag moves, ranked
-    once with their logs: an offset never touches them, since
-    ``p + 0.0 == p``.  The tag half ``tags`` is the tag moves, each with
-    its log; only this half is ranked again per call, under that call's
-    offsets (``_tag_moves``).  A row with no positive tag move needs no
-    sort and no log after it is made.  Rows are plain tuples that never
-    point at each other.  The halves are tuples too: kept as lists, they
-    made the cyclic garbage collector run about three times as often in a
-    beam decode.
+    and logged once: an offset never touches them, since ``p + 0.0 == p``.
+    The tag half ``tags`` is the tag moves; only this half is ranked and
+    logged again per call, under that call's offsets (``_tag_moves``).  A
+    row with no positive tag move needs no sort and no log after it is
+    made.  Rows are plain tuples that never point at each other.  The
+    halves are tuples too: kept as lists, they made the cyclic garbage
+    collector run about three times as often in a beam decode.
     """
 
     def __init__(self, scorer: ScorerContract) -> None:
@@ -293,8 +292,7 @@ class _Table:
             plain, tags = [], []
             for t, p in dist.items():
                 if p > 0.0:
-                    log_p = _safe_log(p)
-                    (tags if t in TAG_TOKENS else plain).append((-p, t, p, log_p, log_p))
+                    (tags if t in TAG_TOKENS else plain).append((-p, t, p, _safe_log(p)))
             plain.sort()
             row = self.rows[state] = (dist, tuple(plain), tuple(tags), {})
         return row
@@ -341,12 +339,12 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     if beam == 1:
         return [_greedy_decode(table, source, max_len, constrained, offsets)]
 
-    live = [_Beam((), table.scorer.start(source), _Auto(), 0.0, 0.0, ())]
+    live = [_Beam((), table.scorer.start(source), _Auto(), 0.0, ())]
     done: list[_Beam] = []
     for step_no in range(max_len):
         budget = max_len - step_no
-        # (selection, token, parent, p, log p, the parent's row's nexts)
-        pool: list[tuple[float, str, _Beam, float, float, dict]] = []
+        # (selection, token, parent, p, the parent's row's nexts)
+        pool: list[tuple[float, str, _Beam, float, dict]] = []
         for item in live:
             dist, plain, tags, nexts = table.row(item.state)
             if constrained:
@@ -359,22 +357,21 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
             if tags:
                 plain = sorted(chain(plain[:beam], _tag_moves(tags, offsets)))
             selection = item.selection
-            for _, tok, p, log_p, log_rank in plain[:beam]:
-                pool.append((selection + log_rank, tok, item, p, log_p, nexts))
+            for _, tok, p, log_rank in plain[:beam]:
+                pool.append((selection + log_rank, tok, item, p, nexts))
         if not pool:
             break
         # every live raw has length step_no, so (raw, tok) orders as raw + (tok,)
         pool.sort(key=lambda x: (-x[0], x[2].raw, x[1]))
         live = []
-        for sel, tok, item, p, log_p, nexts in pool[:beam]:
+        for sel, tok, item, p, nexts in pool[:beam]:
             probs = item.probs + (p,)
-            score = item.score + log_p
             if tok == EOS:
-                done.append(_Beam(item.raw, None, item.auto, sel, score, probs))
+                done.append(_Beam(item.raw, None, item.auto, sel, probs))
             else:
-                auto = item.auto.advance(source, tok) if constrained else item.auto
+                auto = item.auto.advance(tok) if constrained else item.auto
                 state = table.step(item.state, nexts, tok)
-                live.append(_Beam(item.raw + (tok,), state, auto, sel, score, probs))
+                live.append(_Beam(item.raw + (tok,), state, auto, sel, probs))
         if len(done) >= beam or not live:
             break
     # Unfinished items join the ranking: those out of budget, and also those
@@ -388,7 +385,6 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
             Hypothesis(
                 tagged=tuple(repair(list(b.raw), source)),
                 raw=b.raw,
-                score=b.score,
                 probs=b.probs,
                 selection_score=b.selection,
                 terminated=b.state is None,
@@ -418,7 +414,7 @@ def _greedy_decode(
     auto = _Auto()
     raw: list[str] = []
     probs: list[float] = []
-    selection = score = 0.0
+    selection = 0.0
     terminated = False
     rows = table.rows
     for step_no in range(max_len):
@@ -433,27 +429,25 @@ def _greedy_decode(
                 if not plain:
                     break
         # the head of the bias-free half against each tag move, in move order
-        neg_rank, tok, p, log_p, log_rank = plain[0] if plain else _NO_MOVE
-        for _, tag, tag_p, tag_log_p, _ in tags:
+        neg_rank, tok, p, log_rank = plain[0] if plain else _NO_MOVE
+        for _, tag, tag_p, _ in tags:
             tag_rank = -_biased(tag_p, tag, offsets)
             if tag_rank < neg_rank or (tag_rank == neg_rank and tag < tok):
-                neg_rank, tok, p, log_p, log_rank = tag_rank, tag, tag_p, tag_log_p, None
+                neg_rank, tok, p, log_rank = tag_rank, tag, tag_p, None
         if log_rank is None:  # a tag won: log only its ranking value
             log_rank = _safe_log(-neg_rank)
         selection += log_rank
-        score += log_p
         probs.append(p)
         if tok == EOS:
             terminated = True
             break
         raw.append(tok)
         if constrained:
-            auto = auto.advance(source, tok)
+            auto = auto.advance(tok)
         state = nexts[tok] if tok in nexts else table.step(state, nexts, tok)
     return Hypothesis(
         tagged=tuple(repair(raw, source)),
         raw=tuple(raw),
-        score=score,
         probs=tuple(probs),
         selection_score=selection,
         terminated=terminated,

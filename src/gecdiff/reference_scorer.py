@@ -461,15 +461,18 @@ def load_model(path: str) -> tuple[ConfusionLexicon, NGramLM]:
             for key, phrases in lex_obj["insertions"]
         },
     )
-    lexicon.check()
     lm_obj = obj["lm"]
     counts = {
         split(ctx): Counter({word(w): c for w, c in counter})
         for ctx, counter in lm_obj["counts"]
     }
-    for ctx, counter in counts.items():
-        for w, c in counter.items():
-            if c <= 0:
-                raise ValueError(f"{path}: nonpositive LM count for {w!r}")
-    lm = NGramLM(lm_obj["order"], counts, lm_obj["interp"], lm_obj["unk_mass"])
+    try:
+        lexicon.check()
+        for ctx, counter in counts.items():
+            for w, c in counter.items():
+                if c <= 0:
+                    raise ValueError(f"nonpositive LM count for {w!r}")
+        lm = NGramLM(lm_obj["order"], counts, lm_obj["interp"], lm_obj["unk_mass"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return lexicon, lm

@@ -442,6 +442,8 @@ def test_zero_bias_is_neutral():
                 diffs += 1
             elif [h.tagged for h in plain] != [h.tagged for h in zeroed]:
                 diffs += 1
+            elif [h.probs for h in plain] != [h.probs for h in zeroed]:
+                diffs += 1
     ok = diffs == 0 and decodes == 1000
     _report(7, ok, f"zero bias decodes as raw probabilities do across {decodes} fuzzed decodes")
     assert ok

@@ -657,6 +657,51 @@ class TestLineErrors:
         )
         assert not Path("bs.json").exists()
 
+    def test_m2_names_the_gold_line_of_an_empty_edit(self, capsys):
+        write("hyp.txt", TEST_REF)
+        write("gold.m2", TEST_GOLD.replace("A 0 1|||UNK|||the|||", "A 1 1|||M:DET|||-NONE-|||", 1))
+        argv = ["m2", "--hyp", "hyp.txt", "--gold", "gold.m2"]
+        self.fails_with(capsys, argv, "gold.m2:2: edit with no effect")
+
+    @pytest.mark.parametrize(
+        "spoil, reason",
+        [
+            pytest.param(
+                lambda lex, lm: lex["replacements"][0][1][0].__setitem__(1, 0),
+                "nonpositive count for ('teh',) -> ('the',)",
+                id="zero-lexicon-count",
+            ),
+            pytest.param(
+                lambda lex, lm: lm.__setitem__("order", 0), "order must be >= 1", id="lm-order-0"
+            ),
+        ],
+    )
+    def test_decode_names_the_model_of_a_bad_value(self, capsys, spoil, reason):
+        model = train_model()
+        obj = json.loads(Path(model).read_text())
+        spoil(obj["lexicon"], obj["lm"])
+        Path(model).write_text(json.dumps(obj))
+        write("test.src", TEST_SRC)
+        argv = ["decode", "--model", model, "--src", "test.src", "--out", "o.tag"]
+        self.fails_with(capsys, argv, f"{model}: {reason}")
+        assert not Path("o.tag").exists()
+
+    @pytest.mark.parametrize("label", ["web log", "x>y"])
+    @pytest.mark.parametrize("cmd", ["diff", "filter", "stats"])
+    def test_domain_file_names_the_line_of_a_bad_label(self, capsys, cmd, label):
+        write("s.txt", "A cat sat .\nA dog ran .\n")
+        write("t.txt", "A cat sat .\nA dog ran .\n")
+        write("d.txt", f"news\n{label}\n")
+        outputs = {
+            "diff": ["--out", "o.tag"],
+            "filter": ["--preset", "lang8", "--out-src", "o.src", "--out-tgt", "o.tgt",
+                       "--out-domain", "o.dom"],
+            "stats": ["--json", "o.json"],
+        }[cmd]
+        argv = [cmd, "--src", "s.txt", "--tgt", "t.txt", "--domain", "d.txt", *outputs]
+        self.fails_with(capsys, argv, f"d.txt:2: invalid domain name: {label!r}")
+        assert not any(Path(name).exists() for name in ("o.tag", "o.src", "o.dom", "o.json"))
+
 
 def test_filter_out_domain_without_domain_writes_nothing(capsys):
     write("s.txt", "A cat sat .\nA dog ran .\n")

@@ -28,7 +28,7 @@ from gecdiff.decode_bias import KBestRecord, read_kbest, write_kbest
 from gecdiff.edit_extract import Edit
 from gecdiff.metrics import GoldAnnotation
 from gecdiff.reference_scorer import harvest, load_model, save_model, train_lm
-from gecdiff.text_norm import tokenize
+from gecdiff.text_norm import domain_token, tokenize
 
 
 def pair(src, tgt, **kw):
@@ -67,6 +67,15 @@ class TestParallelFiles:
         with pytest.raises(ValueError) as err:
             load_parallel(str(tmp_path / "s"), str(tmp_path / "t"), str(tmp_path / "d"))
         assert ":1" in str(err.value)
+
+    @pytest.mark.parametrize("label", ["web log", "x>y", "a\tb"])
+    def test_invalid_domain_label_names_its_line(self, tmp_path, label):
+        (tmp_path / "s").write_text("a\nb\n")
+        (tmp_path / "t").write_text("a\nb\n")
+        (tmp_path / "d").write_text(f"news\n{label}\n")
+        with pytest.raises(ValueError) as err:
+            load_parallel(str(tmp_path / "s"), str(tmp_path / "t"), str(tmp_path / "d"))
+        assert str(err.value) == f"{tmp_path / 'd'}:2: invalid domain name: {label!r}"
 
     def test_write_round_trip(self, tmp_path):
         pairs = [pair("a b .", "a c .", domain="news"), pair("x ?", "y ?", domain="web")]
@@ -113,16 +122,14 @@ class TestLengthFilter:
     def test_tagged_target_measured_with_tags(self):
         # identity pair: tagged target == target, length 3
         p = pair("a b c", "a b c")
-        kept, _ = length_filter([p], 10, 3, tagged=True)
+        kept, _ = length_filter([p], 10, 3)
         assert kept == [p]
         # a replacement carries both sides plus four tags: 3 + 1 + 4 = 8
         q = pair("a b c", "a x c")
-        kept, report = length_filter([q], 10, 8, tagged=True)
+        kept, report = length_filter([q], 10, 8)
         assert kept == [q]
-        kept, report = length_filter([q], 10, 7, tagged=True)
+        kept, report = length_filter([q], 10, 7)
         assert report.drops["tgt-too-long"] == 1
-        kept, _ = length_filter([q], 10, 7, tagged=False)
-        assert kept == [q]
 
     def test_domain_grants_one_extra_slot(self):
         plain = pair("a b c d e", "a b c d e")
@@ -149,9 +156,9 @@ class TestLengthFilter:
             length_filter([], 0, 5)
 
     def test_presets_table(self):
-        assert PRESETS["conll"] == (79, 100, True, "word")
-        assert PRESETS["aesw"] == (126, 126, True, "word")
-        assert PRESETS["aesw-char"] == (421, 421, True, "char")
+        assert PRESETS["conll"] == (79, 100, "word")
+        assert PRESETS["aesw"] == (126, 126, "word")
+        assert PRESETS["aesw-char"] == (421, 421, "char")
 
 
 GOOD = pair("This is fine .", "This is fine .")
@@ -577,8 +584,10 @@ def oracle_load_parallel(
         domains = []
         for n, line in enumerate(dom_lines, 1):
             label = line.strip()
-            if not label:
-                raise ValueError(f"{dom_path}:{n}: empty domain label")
+            try:
+                domain_token(label)
+            except ValueError as exc:
+                raise ValueError(f"{dom_path}:{n}: {exc}") from None
             domains.append(label)
     else:
         domains = [None] * len(src_lines)
@@ -649,9 +658,11 @@ def oracle_load_m2_gold(path: str) -> list[GoldAnnotation]:
                 continue
             if not 0 <= start <= end <= len(source):
                 raise ValueError(f"{where}: span {start} {end} outside source")
-            edits.setdefault(annotator, []).append(
-                Edit(start, end, tuple(source[start:end]), replacement)
-            )
+            try:
+                edit = Edit(start, end, tuple(source[start:end]), replacement)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            edits.setdefault(annotator, []).append(edit)
         else:
             raise ValueError(f"{where}: unrecognized line {line!r}")
     flush(f"{path}:end")
@@ -780,6 +791,7 @@ class TestReadersShareStrings:
             pytest.param("S a b\nA 0|||R|||c|||REQUIRED|||-NONE-|||0\n", id="one-span-number"),
             pytest.param("S a b\nA 0 x|||R|||c|||REQUIRED|||-NONE-|||0\n", id="span-word"),
             pytest.param("S a b\nA 0 3|||R|||c|||REQUIRED|||-NONE-|||0\n", id="span-outside"),
+            pytest.param("S a b\nA 1 1|||M:D|||-NONE-|||REQUIRED|||-NONE-|||0\n", id="empty-edit"),
             pytest.param("S a b\nA 0 1|||R|||c|||REQUIRED|||-NONE-|||z\n", id="annotator-word"),
             pytest.param("S a\n\nA 0 1|||R|||c|||REQUIRED|||-NONE-|||0\n", id="a-without-s"),
             pytest.param("S a\nS b\n", id="s-before-blank"),
@@ -825,6 +837,7 @@ class TestReadersShareStrings:
             pytest.param("a\nb\n", "a\n", None, id="target-short"),
             pytest.param("a\nb\n", "a\nb\n", "x\n", id="domains-short"),
             pytest.param("a\nb\n", "a\nb\n", "x\n \n", id="empty-label"),
+            pytest.param("a\nb\n", "a\nb\n", "x\nweb log\n", id="label-with-space"),
         ],
     )
     def test_parallel_errors_unchanged(self, tmp_path, src, tgt, dom):

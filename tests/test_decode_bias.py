@@ -174,7 +174,7 @@ class TestBeamDecode:
         assert hyps[0].raw == tuple(SRC)
         assert hyps[0].tagged == tuple(SRC)
         assert hyps[0].terminated
-        assert hyps[0].score == pytest.approx(0.0)
+        assert hyps[0].probs == (1.0,) * (len(SRC) + 1)
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
@@ -203,7 +203,7 @@ class TestBeamDecode:
             plain = oracle_beam_decode(sc, SRC, DecodeConfig(beam=4), unbiased=True)
             zero = beam_decode(sc, SRC, DecodeConfig(beam=4, bias=BiasVector()))
             assert [h.raw for h in plain] == [h.raw for h in zero]
-            assert [h.score for h in plain] == [h.score for h in zero]
+            assert [h.probs for h in plain] == [h.probs for h in zero]
 
     @pytest.mark.parametrize("bias", [None, 0.0, "0", {}], ids=["none", "float", "str", "dict"])
     def test_bias_must_be_a_bias_vector(self, bias):
@@ -217,8 +217,8 @@ class TestBeamDecode:
             assert not any(tok in TAG_TOKENS for tok in h.raw)
 
     def test_bias_changes_ranking_not_score(self):
-        # same candidate set, selection shifts while model score stays the
-        # path's own log-probability
+        # same candidate set, selection shifts while each step keeps the
+        # path's own probability
         sc = FuzzScorer(5)
         plain = beam_decode(sc, SRC, DecodeConfig(beam=6))
         biased = beam_decode(sc, SRC, DecodeConfig(beam=6, bias=BiasVector.tied(0.9)))
@@ -226,17 +226,22 @@ class TestBeamDecode:
         for h in biased:
             match = by_key.get((h.raw, h.terminated))
             if match is not None:
-                assert h.score == pytest.approx(match.score)
+                assert h.probs == match.probs
 
     def test_token_logprob_bookkeeping(self):
         h = beam_decode(CopyScorer(), SRC, DecodeConfig(beam=1))[0]
         # terminated: one entry per token plus the end step
         assert len(h.probs) == len(h.raw) + 1
-        # the score is the sum of the steps' logs, in order
+        # the unbiased score rebuilt from the record is the reference
+        # decoder's in-order sum of the steps' logs, bit for bit
         for beam in (1, 4):
-            for h in beam_decode(FuzzScorer(3), SRC, DecodeConfig(beam=beam)):
+            cfg = DecodeConfig(beam=beam)
+            want = oracle_beam_decode(FuzzScorer(3), SRC, cfg, unbiased=True, scores=True)
+            got = beam_decode(FuzzScorer(3), SRC, cfg)
+            assert [h for h, _ in want] == got
+            for h, score in want:
                 assert len(h.probs) == len(h.raw) + h.terminated
-                assert h.score == in_order(map(_safe_log, h.probs))
+                assert record_from_hypothesis(0, h).selection_score(BiasVector()) == score
 
 
 class TestConstrained:
@@ -832,7 +837,7 @@ class OracleAuto(NamedTuple):
         # steps still required to reach a valid end: close + copies + EOS
         return (1 if self.mode != _OUT else 0) + (source_len - self.consumed) + 1
 
-    def advance(self, source, token: str) -> "OracleAuto":
+    def advance(self, token: str) -> "OracleAuto":
         if token == DEL_OPEN:
             return OracleAuto(_DEL, self.consumed, 0)
         if token == INS_OPEN:
@@ -903,15 +908,15 @@ def test_auto_matches_oracle_on_walks_over_its_mask():
             for tok in (*source, *extra):
                 if tok in TAG_TOKENS and (auto.mode, tok) not in NEXT_MODE:
                     assert tok not in mask
-                    assert auto.advance(source, tok) is auto
+                    assert auto.advance(tok) is auto
                 else:
-                    assert auto.advance(source, tok) == canon_auto(oracle.advance(source, tok))
+                    assert auto.advance(tok) == canon_auto(oracle.advance(tok))
             if not mask:
                 break
             tok = rng.choice(sorted(mask))
             if tok == EOS:
                 break
-            auto, oracle = auto.advance(source, tok), oracle.advance(source, tok)
+            auto, oracle = auto.advance(tok), oracle.advance(tok)
 
 
 @dataclass(frozen=True)
@@ -924,12 +929,13 @@ class _Beam:
     probs: tuple[float, ...]
 
 
-def oracle_beam_decode(scorer, source, cfg, unbiased=False):
+def oracle_beam_decode(scorer, source, cfg, unbiased=False, scores=False):
     """Reference decoder: scores every live item and copies every candidate.
 
     ``beam_decode`` must return exactly what this returns, float for float.
     ``unbiased`` ranks on the raw probabilities, with no offsets at all,
-    whatever ``cfg.bias`` holds.
+    whatever ``cfg.bias`` holds.  ``scores`` pairs each hypothesis with the
+    sum of its steps' unbiased logs, added as each step is taken.
     """
     if not source:
         raise ValueError("source must be nonempty")
@@ -979,7 +985,7 @@ def oracle_beam_decode(scorer, source, cfg, unbiased=False):
                     _Beam(
                         raw,
                         scorer.step(item.state, tok),
-                        item.auto.advance(source, tok),
+                        item.auto.advance(tok),
                         sel,
                         score,
                         probs,
@@ -996,13 +1002,12 @@ def oracle_beam_decode(scorer, source, cfg, unbiased=False):
             Hypothesis(
                 tagged=tuple(repair(list(b.raw), source)),
                 raw=b.raw,
-                score=b.score,
                 probs=b.probs,
                 selection_score=b.selection,
                 terminated=b.state is None,
             )
         )
-    return out
+    return [(h, b.score) for h, b in zip(out, done)] if scores else out
 
 
 class TieScorer(FuzzScorer):
@@ -1536,8 +1541,9 @@ def test_split_rows_decode_as_the_reference(scs, sources, biases, constrained, b
                     merged = sorted([*plain, *decode_bias._tag_moves(tags, offsets)])
                     positive = [(t, p) for t, p in dist.items() if p > 0.0]
                     want = oracle_ranked_moves(positive, offsets)
-                    assert [(lr, t, p) for _, t, p, _, lr in merged] == want
-                    assert all(lp == _safe_log(p) for _, _, p, lp, _ in merged)
+                    assert [(lr, t, p) for _, t, p, lr in merged] == want
+                    # a plain move is ranked on its own p, so its log is log p
+                    assert all(lr == _safe_log(p) for _, _, p, lr in plain)
     if isinstance(scs[0], DyadicScorer):
         assert kinds == {
             "no positive tag", "a tag ties the best word", "two tags tie after the offset"

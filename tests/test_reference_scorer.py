@@ -235,7 +235,7 @@ class TestModelFiles:
         assert sentence_logprob(lm2, sent) == sentence_logprob(lm, sent)
         a = beam_decode(scorer(lex, lm), ["teh", "cat"], DecodeConfig(beam=3))
         b = beam_decode(scorer(lex2, lm2), ["teh", "cat"], DecodeConfig(beam=3))
-        assert [(h.raw, h.score) for h in a] == [(h.raw, h.score) for h in b]
+        assert [(h.raw, h.probs) for h in a] == [(h.raw, h.probs) for h in b]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
@@ -257,6 +257,51 @@ class TestModelFiles:
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert "version" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            pytest.param(
+                lambda obj: obj["lexicon"]["replacements"][0][1][0].__setitem__(1, 0),
+                "nonpositive count for ('teh',) -> ('the',)",
+                id="zero-count",
+            ),
+            pytest.param(
+                lambda obj: obj["lexicon"]["deletions"].append(["x", -2]),
+                "nonpositive count for deletion ('x',)",
+                id="negative-count",
+            ),
+            pytest.param(
+                lambda obj: obj["lexicon"]["deletions"].append(["a b c d", 1]),
+                "phrase length out of range: ('a', 'b', 'c', 'd')",
+                id="four-token-phrase",
+            ),
+            pytest.param(
+                lambda obj: obj["lexicon"]["deletions"].append(["a <del>", 1]),
+                "reserved token in lexicon phrase: '<del>'",
+                id="tag-in-phrase",
+            ),
+            pytest.param(
+                lambda obj: obj["lm"].__setitem__("order", 0), "order must be >= 1", id="order-0"
+            ),
+            pytest.param(
+                lambda obj: obj["lm"].__setitem__("interp", 2.0),
+                "interpolation weights must be in (0, 1)",
+                id="interp-2",
+            ),
+        ],
+    )
+    def test_rejects_bad_values_naming_the_file(self, tmp_path, corrupt, reason):
+        import json
+
+        path = str(tmp_path / "model.json")
+        save_model(path, harvest(TEH_PAIRS), train_lm([t for _, t in TEH_PAIRS]))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        corrupt(obj)
+        Path(path).write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: {reason}"
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -701,17 +746,20 @@ def oracle_load_model(path: str) -> tuple[ConfusionLexicon, NGramLM]:
             for key, phrases in lex_obj["insertions"]
         },
     )
-    lexicon.check()
     lm_obj = obj["lm"]
     counts = {
         _oracle_split(ctx): Counter({w: c for w, c in counter})
         for ctx, counter in lm_obj["counts"]
     }
-    for ctx, counter in counts.items():
-        for w, c in counter.items():
-            if c <= 0:
-                raise ValueError(f"{path}: nonpositive LM count for {w!r}")
-    lm = NGramLM(lm_obj["order"], counts, lm_obj["interp"], lm_obj["unk_mass"])
+    try:
+        lexicon.check()
+        for ctx, counter in counts.items():
+            for w, c in counter.items():
+                if c <= 0:
+                    raise ValueError(f"nonpositive LM count for {w!r}")
+        lm = NGramLM(lm_obj["order"], counts, lm_obj["interp"], lm_obj["unk_mass"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return lexicon, lm
 
 
