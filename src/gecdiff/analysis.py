@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 
-from .diff_codec import encode_diffs
-from .edit_extract import Edit, edits_from_tagged
+from .edit_extract import Edit, pair_edits
 from .metrics import DEFAULT_BETA, PRF, micro_prf
 from .text_norm import TokenSeq
 
@@ -42,7 +41,7 @@ def build_freq_table(pairs: list[tuple[TokenSeq, TokenSeq]]) -> FreqTable:
     """Count grouped errors over training (source, target) pairs."""
     counts: Counter = Counter()
     for source, target in pairs:
-        for e in edits_from_tagged(encode_diffs(source, target)):
+        for e in pair_edits(source, target):
             counts[(e.deleted, e.replacement)] += 1
     return FreqTable(dict(counts))
 

@@ -62,7 +62,7 @@ from .diff_codec import (
     strip_to_target,
     validate_tagged,
 )
-from .edit_extract import edits_from_tagged
+from .edit_extract import pair_edits
 from .metrics import (
     GoldAnnotation,
     gleu,
@@ -270,9 +270,8 @@ def _dev_pairs(src_path: str, tgt_path: str) -> list[tuple[TokenSeq, GoldAnnotat
     pairs = load_parallel(src_path, tgt_path)
     dev = []
     for p in pairs:
-        source, target = list(p.source), list(p.target)
-        edits = edits_from_tagged(encode_diffs(source, target))
-        dev.append((source, GoldAnnotation(source, {0: edits})))
+        source = list(p.source)
+        dev.append((source, GoldAnnotation(source, {0: pair_edits(source, p.target)})))
     return dev
 
 
@@ -390,7 +389,7 @@ def _cmd_analyze(args):
     system = []
     gold_sets = []
     for hyp, ann in zip(hyps, golds):
-        system.append(edits_from_tagged(encode_diffs(ann.source, hyp)))
+        system.append(pair_edits(ann.source, hyp))
         if args.annotator not in ann.annotators:
             raise ValueError(
                 f"annotator {args.annotator} missing for source {ann.source!r}"

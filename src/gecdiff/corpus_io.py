@@ -22,7 +22,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, TextIO
 
-from .edit_extract import Edit, edits_from_tagged
+from .edit_extract import Edit, pair_edits
 from .diff_codec import encode_diffs
 from .metrics import GoldAnnotation
 from .text_norm import TokenSeq, domain_token, find_reserved, is_reserved_token, tokenize
@@ -465,7 +465,7 @@ def corpus_stats(pairs: list[SentencePair]) -> CorpusStats:
     insertions: set[tuple[str, ...]] = set()
     replacements: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
     for p in pairs:
-        edits = edits_from_tagged(encode_diffs(list(p.source), list(p.target)))
+        edits = pair_edits(p.source, p.target)
         if not edits:
             continue
         edited += 1

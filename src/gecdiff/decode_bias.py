@@ -248,10 +248,10 @@ _Move = tuple[float, str, float, float]
 _NO_MOVE: _Move = (math.inf, "", 0.0, 0.0)  # ranks below every move
 
 
-def _tag_moves(tags: tuple[_Move, ...], offsets: dict[str, float]) -> list[_Move]:
+def _tag_moves(tags: tuple[tuple[str, float], ...], offsets: dict[str, float]) -> list[_Move]:
     """A row's tag half under ``offsets``: each move ranked on ``p`` plus its offset."""
     moves = []
-    for _, t, p, _ in tags:
+    for t, p in tags:
         value = _biased(p, t, offsets)
         moves.append((-value, t, p, _safe_log(value)))
     return moves
@@ -272,8 +272,9 @@ class _Table:
     positive moves, split in two halves; and the states its steps reach,
     by token.  The bias-free half ``plain`` is the non-tag moves, ranked
     and logged once: an offset never touches them, since ``p + 0.0 == p``.
-    The tag half ``tags`` is the tag moves; only this half is ranked and
-    logged again per call, under that call's offsets (``_tag_moves``).  A
+    The tag half ``tags`` is the tag moves as ``(token, p)``, neither
+    ranked nor logged: a call ranks them under its own offsets, and logs
+    each one (``_tag_moves``) or, at beam 1, only the one that wins.  A
     row with no positive tag move needs no sort and no log after it is
     made.  Rows are plain tuples that never point at each other.  The
     halves are tuples too: kept as lists, they made the cyclic garbage
@@ -292,7 +293,10 @@ class _Table:
             plain, tags = [], []
             for t, p in dist.items():
                 if p > 0.0:
-                    (tags if t in TAG_TOKENS else plain).append((-p, t, p, _safe_log(p)))
+                    if t in TAG_TOKENS:
+                        tags.append((t, p))
+                    else:
+                        plain.append((-p, t, p, _safe_log(p)))
             plain.sort()
             row = self.rows[state] = (dist, tuple(plain), tuple(tags), {})
         return row
@@ -350,7 +354,7 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
             if constrained:
                 mask = item.auto.allowed(source, dist, budget)
                 plain = [m for m in plain if m[1] in mask]
-                tags = [m for m in tags if m[1] in mask]
+                tags = [m for m in tags if m[0] in mask]
                 if not (plain or tags):
                     # only zero-probability moves are legal when no positive one is
                     plain = _zero_moves(dist, mask, offsets)
@@ -423,14 +427,14 @@ def _greedy_decode(
         if constrained:
             mask = auto.allowed(source, dist, max_len - step_no)
             plain = [m for m in plain if m[1] in mask]
-            tags = [m for m in tags if m[1] in mask]
+            tags = [m for m in tags if m[0] in mask]
             if not (plain or tags):
                 plain = _zero_moves(dist, mask, offsets)
                 if not plain:
                     break
         # the head of the bias-free half against each tag move, in move order
         neg_rank, tok, p, log_rank = plain[0] if plain else _NO_MOVE
-        for _, tag, tag_p, _ in tags:
+        for tag, tag_p in tags:
             tag_rank = -_biased(tag_p, tag, offsets)
             if tag_rank < neg_rank or (tag_rank == neg_rank and tag < tok):
                 neg_rank, tok, p, log_rank = tag_rank, tag, tag_p, None

@@ -65,22 +65,31 @@ class MalformedTagsError(ValueError):
 # encoding
 
 
-def encode_diffs(source: TokenSeq, target: TokenSeq) -> TokenSeq:
-    """Encode target as source plus minimal ``<del>``/``<ins>`` spans.
+def pair_opcodes(source: TokenSeq, target: TokenSeq) -> list[tuple[str, int, int, int, int]]:
+    """difflib's opcodes from ``source`` to ``target``: the one alignment of a pair.
 
-    Uses longest-matching-block alignment (difflib), so no emitted span pair
-    has identical deleted and inserted content.  Inputs must not contain
-    reserved tokens.
+    Longest-matching-block alignment, so no replace opcode has identical
+    sides, no span is empty and no two non-equal opcodes are adjacent.
+    Inputs must not contain reserved tokens.
     """
     for name, seq in (("source", source), ("target", target)):
         i = find_reserved(seq)
         if i >= 0:
             raise ValueError(f"reserved token in {name} at position {i}: {seq[i]!r}")
-    if same_tokens(source, target):
-        return list(source)  # what the one "equal" opcode below would give
-    matcher = difflib.SequenceMatcher(a=source, b=target, autojunk=False)
+    if same_tokens(source, target):  # what difflib gives, without its tables
+        return [("equal", 0, len(source), 0, len(target))] if source else []
+    return difflib.SequenceMatcher(a=source, b=target, autojunk=False).get_opcodes()
+
+
+def encode_diffs(source: TokenSeq, target: TokenSeq) -> TokenSeq:
+    """Encode target as source plus minimal ``<del>``/``<ins>`` spans.
+
+    Renders ``pair_opcodes``: an equal opcode copies source, a delete or a
+    replace wraps its source side in ``<del>``, and an insert or a replace
+    wraps its target side in ``<ins>``.
+    """
     out: TokenSeq = []
-    for op, i1, i2, j1, j2 in matcher.get_opcodes():
+    for op, i1, i2, j1, j2 in pair_opcodes(source, target):
         if op == "equal":
             out.extend(source[i1:i2])
             continue

@@ -1,11 +1,13 @@
 """Token alignment and span-edit extraction.
 
-Edits are produced two ways: from a unit-cost Levenshtein alignment of two
-token sequences, or directly from a diff-tagged sequence.  Both yield sorted,
-non-overlapping ``Edit`` lists that reproduce the target when applied to the
-source.  ``lattice_arcs`` additionally enumerates every mergeable alignment
-window as an ``Edit``; the MaxMatch scorer in ``metrics`` walks the same
-windows as integer spans instead of building them.
+Edits are produced three ways: from a unit-cost Levenshtein alignment of two
+token sequences, directly from a diff-tagged sequence, or from the difflib
+opcodes of a pair (``pair_edits``), which is what that pair's tagged encoding
+parses to.  All yield sorted, non-overlapping ``Edit`` lists that reproduce
+the target when applied to the source.  ``lattice_arcs`` additionally
+enumerates every mergeable alignment window as an ``Edit``; the MaxMatch
+scorer in ``metrics`` walks the same windows as integer spans instead of
+building them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .diff_codec import parse_spans
+from .diff_codec import pair_opcodes, parse_spans
 from .text_norm import TokenSeq
 
 
@@ -256,6 +258,20 @@ def edits_from_tagged(tagged: TokenSeq) -> list[Edit]:
                 edits.append(Edit(pos, pos, (), tuple(tokens)))
     flush()
     return edits
+
+
+def pair_edits(source: TokenSeq, target: TokenSeq) -> list[Edit]:
+    """The edits of a pair: one per non-equal opcode of ``pair_opcodes``.
+
+    Equals ``edits_from_tagged(encode_diffs(source, target))``: difflib
+    leaves no span empty and no two non-equal opcodes adjacent, so no two
+    edits merge.
+    """
+    return [
+        Edit(i1, i2, tuple(source[i1:i2]), tuple(target[j1:j2]))
+        for op, i1, i2, j1, j2 in pair_opcodes(source, target)
+        if op != "equal"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 from .corpus_io import _Shared, read_text, write_text
 from .decode_bias import EOS
-from .diff_codec import NEXT_MODE, encode_diffs
-from .edit_extract import edits_from_tagged
+from .diff_codec import NEXT_MODE
+from .edit_extract import pair_edits
 from .text_norm import (
     DEL_CLOSE,
     DEL_OPEN,
@@ -93,7 +93,7 @@ def harvest(corpus: list[tuple[TokenSeq, TokenSeq]]) -> ConfusionLexicon:
     """
     lex = ConfusionLexicon.empty()
     for source, target in corpus:
-        for e in edits_from_tagged(encode_diffs(source, target)):
+        for e in pair_edits(source, target):
             if len(e.deleted) > MAX_PHRASE or len(e.replacement) > MAX_PHRASE:
                 continue
             if e.kind == "replace":

@@ -128,11 +128,16 @@ def tokenize(text: str) -> TokenSeq:
     """
     tokens: TokenSeq = []
     for chunk in text.split():
-        # most chunks are a bare word: no edge punctuation, no inner apostrophe
-        if chunk[0] in _DETACH or chunk[-1] in _DETACH or chunk.find("'", 1) >= 0:
+        # most chunks are a bare word: no edge punctuation, no inner
+        # apostrophe; a one-character chunk is its own token either way
+        if len(chunk) > 1 and (
+            chunk[0] in _DETACH or chunk[-1] in _DETACH or chunk.find("'", 1) >= 0
+        ):
             tokens.extend(_split_chunk(chunk))
         else:
             tokens.append(chunk)
+    if ">" not in text:  # every token _escape changes ends with ">"
+        return tokens
     return [_escape(t) for t in tokens]
 
 

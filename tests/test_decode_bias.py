@@ -1553,10 +1553,11 @@ def test_split_rows_decode_as_the_reference(scs, sources, biases, constrained, b
 @pytest.mark.parametrize("beam", [1, 3])
 @pytest.mark.parametrize("grid_step", [0.5, 0.1, 0.05])
 def test_each_move_logged_once_per_row_whatever_the_grid(monkeypatch, grid_step, beam):
-    # Every log of a sentence's tune sweep: one per positive move of each
-    # distinct state, taken when its row is made, and at beam 1 one more per
-    # tag step of a 1-best, for the offset that ranked it.  No other move is
-    # logged again, however many biases the grid holds.
+    # Every log of a sentence's tune sweep: one per positive non-tag move of
+    # each distinct state, taken when its row is made, and at beam 1 one per
+    # tag step of a 1-best, for the offset that ranked it.  No tag move is
+    # logged when its row is made, and no other move is logged again,
+    # however many biases the grid holds.
     ref, ref_sources = synthetic_ref_scorer(3, edit_weight=0.003)
     tagless = FuzzScorer(6, zero_tags=TAG_TOKENS)  # every positive move is a word
     cases = [(tagless, [SRC, ["a", "b"], ["c", "a", "b", "c"]]), (ref, ref_sources)]
@@ -1581,7 +1582,9 @@ def test_each_move_logged_once_per_row_whatever_the_grid(monkeypatch, grid_step,
             patched.setattr(decode_bias, "_safe_log", counting_log)
             grid_search_tune(counting, dev, grid_step=grid_step, cfg=cfg)
         for source, state in counting.sentence_calls:
-            want[source] += sum(p > 0.0 for p in inner.dist(state).values())
+            want[source] += sum(
+                p > 0.0 and t not in TAG_TOKENS for t, p in inner.dist(state).items()
+            )
         assert logs == want
         if inner is tagless:
             assert len(counting.sentence_calls) < sum(logs.values())  # a row logs each move

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from gecdiff.edit_extract import (
     extract_edits,
     lattice_arcs,
     levenshtein_align,
+    pair_edits,
 )
 from gecdiff.text_norm import DEL_CLOSE, DEL_OPEN, INS_CLOSE, INS_OPEN
 
@@ -213,6 +215,37 @@ class TestEditsFromTagged:
         edits = edits_from_tagged(encode_diffs(s, t))
         check_edits(edits, s)
         assert apply_edits(s, edits) == t
+
+
+@st.composite
+def token_pairs(draw):
+    """A pair over 1 to 4 token types, so that difflib meets repeats and ties.
+
+    One pair in four has identical sides.
+    """
+    words = st.lists(st.sampled_from("abcd"[: draw(st.integers(1, 4))]), max_size=12)
+    source = draw(words)
+    return source, list(source) if draw(st.integers(0, 3)) == 0 else draw(words)
+
+
+class TestPairEdits:
+    @settings(max_examples=500)
+    @given(token_pairs())
+    def test_equals_the_tagged_round_trip(self, pair):
+        s, t = pair
+        want = edits_from_tagged(encode_diffs(s, t))
+        assert pair_edits(s, t) == want
+        assert pair_edits(tuple(s), t) == want and pair_edits(s, tuple(t)) == want
+
+    @pytest.mark.parametrize("tok", [DEL_OPEN, INS_CLOSE, "<dom:x>"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_reserved_token_raises_as_the_codec(self, tok, side):
+        pair = [["a", "b"], ["a", "c"]]
+        pair[side] = ["a", tok]
+        with pytest.raises(ValueError) as want:
+            encode_diffs(*pair)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            pair_edits(*pair)
 
 
 class TestLatticeArcs:

@@ -1,20 +1,27 @@
-"""A seeded byte-mutation pass over the k-best dump, the M2 gold file and the model file.
+"""A seeded byte-mutation pass over every file format gecdiff reads.
 
+The formats are the k-best dump, the M2 gold file, the model file, the
+source, target and domain files of parallel text, and token-line files.
 Each mutant is a valid file with one mutation: cut short, one bit flipped, a
 run of bytes deleted, a line duplicated, or a piece of the format's own
 punctuation inserted.  Every mutant must either load or fail with a
-``ValueError`` whose message starts with its path; any other exception, or
-a message that does not name the file, is a fault the user would see
+``ValueError`` whose message starts with its path, as ``<file>:<line>:``
+for a line of a text file; a line count unequal to its companion files' may
+instead name the file in the middle of the message.  Any other exception,
+or a message that does not name the file, is a fault the user would see
 without its file.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import re
 
 import pytest
 
-from gecdiff.corpus_io import load_m2_gold
+from gecdiff.cli import _read_untagged
+from gecdiff.corpus_io import load_m2_gold, load_parallel, read_token_lines
 from gecdiff.decode_bias import (
     DecodeConfig,
     beam_decode,
@@ -31,7 +38,12 @@ JSON_PUNCTUATION = [
     b"{", b"}", b"[", b"]", b",", b":", b'"', b"\\", b"-", b"0", b"1e999", b"null", b"true"
 ]
 M2_PUNCTUATION = [b"|", b"|||", b" ", b"\n", b"-", b"-1", b"0", b"S ", b"A ", b"||"]
-MUTANTS = 2000  # per format; about 0.5 s each
+# reserved tokens, alone and inside a word, the escape prefix and the closing
+# angle escaping looks for, whitespace and the punctuation the tokenizer detaches
+TEXT_PUNCTUATION = [
+    b" <del> ", b"<del>", b" <dom:x> ", b" ##", b"##", b">", b"\t", b" ", b"\n", b"'", b",", b"("
+]
+MUTANTS = 2000  # per format; at most about 0.5 s each
 
 
 def mutate(rng: random.Random, data: bytes, punctuation: list[bytes]) -> bytes:
@@ -71,15 +83,69 @@ def model_file(path: str) -> None:
     save_model(path, harvest(pairs), train_lm([t for _, t in pairs], order=2))
 
 
+def parallel_file(role: str):
+    """``make`` and ``load`` for the ``role`` file of a parallel corpus.
+
+    ``make`` writes all three files next to the given path, and a copy of
+    the ``role`` one at it; ``load`` reads the corpus with the file at the
+    given path in that role.
+    """
+    rng = random.Random(11)
+    pairs = random_model_pairs(5, n=12)
+    texts = {
+        "src": [" ".join(s) for s, _ in pairs] + ["It's (the) cat's mat, isn't it?"],
+        "tgt": [" ".join(t) for _, t in pairs] + ["It is the cat's mat, is it not?"],
+        "dom": [rng.choice(["news", "web", "café"]) for _ in range(len(pairs) + 1)],
+    }
+
+    def files(path: str) -> dict[str, str]:
+        return {r: os.path.join(os.path.dirname(path), f"corpus.{r}") for r in texts}
+
+    def make(path: str) -> None:
+        for r, name in files(path).items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in texts[r]))
+        with open(files(path)[role], "rb") as src, open(path, "wb") as dst:
+            dst.write(src.read())
+
+    def load(path: str) -> None:
+        names = files(path)
+        names[role] = path
+        load_parallel(names["src"], names["tgt"], names["dom"])
+
+    return make, load
+
+
+def token_line_file(path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(" ".join(t) + "\n" for _, t in random_model_pairs(6, n=12)))
+
+
+def read_hypotheses(path: str) -> None:
+    _read_untagged(path, "hypothesis")
+
+
 @pytest.mark.parametrize(
-    "make, load, punctuation",
+    "make, load, punctuation, lines",
     [
-        pytest.param(kbest_file, read_kbest, JSON_PUNCTUATION, id="kbest"),
-        pytest.param(m2_file, load_m2_gold, M2_PUNCTUATION, id="m2"),
-        pytest.param(model_file, load_model, JSON_PUNCTUATION, id="model"),
+        pytest.param(kbest_file, read_kbest, JSON_PUNCTUATION, False, id="kbest"),
+        pytest.param(m2_file, load_m2_gold, M2_PUNCTUATION, False, id="m2"),
+        pytest.param(model_file, load_model, JSON_PUNCTUATION, False, id="model"),
+        *(
+            pytest.param(*parallel_file(role), TEXT_PUNCTUATION, True, id=role)
+            for role in ("src", "tgt", "dom")
+        ),
+        pytest.param(
+            token_line_file, read_token_lines, TEXT_PUNCTUATION, True,
+            id="token-lines",
+        ),
+        pytest.param(
+            token_line_file, read_hypotheses, TEXT_PUNCTUATION, True,
+            id="untagged-lines",
+        ),
     ],
 )
-def test_mutants_load_or_name_their_file(tmp_path, make, load, punctuation):
+def test_mutants_load_or_name_their_file(tmp_path, make, load, punctuation, lines):
     valid = str(tmp_path / "valid")
     make(valid)
     load(valid)
@@ -87,6 +153,7 @@ def test_mutants_load_or_name_their_file(tmp_path, make, load, punctuation):
         data = fh.read()
     rng = random.Random(1)
     path = str(tmp_path / "mutant")
+    fault = re.compile(re.escape(path) + (r":\d+: " if lines else ":"))
     loaded = 0
     for n in range(MUTANTS):
         mutant = mutate(rng, data, punctuation)
@@ -95,7 +162,9 @@ def test_mutants_load_or_name_their_file(tmp_path, make, load, punctuation):
         try:
             load(path)
         except ValueError as exc:
-            assert str(exc).startswith(f"{path}:"), (n, mutant, exc)
+            message = str(exc)
+            counted = message.startswith("line count mismatch: ") and f" {path} has " in message
+            assert fault.match(message) or counted, (n, mutant, exc)
         else:
             loaded += 1
     assert 0 < loaded < MUTANTS  # the pass both spoils files and leaves some readable

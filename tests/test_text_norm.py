@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gecdiff.text_norm import (
     DEL_CLOSE,
@@ -220,6 +220,23 @@ def test_tokenize_matches_oracle_on_seeded_fuzz():
     rng = random.Random(90210)
     for text in fuzz_texts(rng, 20_000):
         assert tokenize(text) == oracle_tokenize(text), text
+
+
+# detached punctuation, the apostrophe, the pieces of escaped and reserved
+# tokens, and whitespace that str.split breaks on beyond the space
+TOKENIZER_PIECES = [
+    *',.;:!?"()[]\'', ">", "<del>", "<dom:x>", "##", "a", "b", "x",
+    " ", " ", "\t", "\xa0", "\x1c", "\u2028",
+]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=16).map("".join))
+@example("##<del>")
+@example("x <ins>,")
+@example("a , b ' c")
+def test_tokenize_matches_oracle_on_drawn_text(text):
+    assert tokenize(text) == oracle_tokenize(text)
 
 
 def test_token_predicates_match_oracle_on_seeded_fuzz():
