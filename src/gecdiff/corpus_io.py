@@ -131,24 +131,33 @@ def _not_utf8(path: str) -> ValueError:
     return ValueError(f"{path}: not valid UTF-8")
 
 
+def _check_paired(path: str, lines: list[str], other_path: str, other: list[str]) -> None:
+    """Raise unless the two files pair line for line.
+
+    The error names the longer file's first line with no partner, as
+    ``a.src:3: no line 3 in a.tgt (a.src has 3 lines, a.tgt has 2)``.
+    """
+    if len(lines) == len(other):
+        return
+    if len(lines) < len(other):
+        path, lines, other_path, other = other_path, other, path, lines
+    n = len(other) + 1
+    raise ValueError(
+        f"{path}:{n}: no line {n} in {other_path} "
+        f"({path} has {len(lines)} lines, {other_path} has {len(other)})"
+    )
+
+
 def load_parallel(
     src_path: str, tgt_path: str, dom_path: str | None = None
 ) -> list[SentencePair]:
     src_lines = read_lines(src_path)
     tgt_lines = read_lines(tgt_path)
-    if len(src_lines) != len(tgt_lines):
-        raise ValueError(
-            f"line count mismatch: {src_path} has {len(src_lines)}, "
-            f"{tgt_path} has {len(tgt_lines)}"
-        )
+    _check_paired(src_path, src_lines, tgt_path, tgt_lines)
     domains: list[str | None]
     if dom_path is not None:
         dom_lines = read_lines(dom_path)
-        if len(dom_lines) != len(src_lines):
-            raise ValueError(
-                f"line count mismatch: {src_path} has {len(src_lines)}, "
-                f"{dom_path} has {len(dom_lines)}"
-            )
+        _check_paired(src_path, src_lines, dom_path, dom_lines)
         domains = []
         for n, line in enumerate(dom_lines, 1):
             label = line.strip()

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 from .corpus_io import _Shared, atomic_write, iter_lines
 from .diff_codec import NEXT_MODE, TAG_MOVES, repair, strip_to_target
@@ -143,14 +141,17 @@ class Hypothesis:
     terminated: bool
 
 
+_REQUIRED = (*TAG_TOKENS, EOS)  # the entries every distribution holds
+
+
 def _check_dist(dist: dict[str, float]) -> None:
-    for tok in TAG_TOKENS:
+    for tok in _REQUIRED:
         if tok not in dist:
             raise ValueError(f"scorer distribution missing entry for {tok}")
-    if EOS not in dist:
-        raise ValueError(f"scorer distribution missing entry for {EOS}")
     total = sum(dist.values())
-    if not math.isclose(total, 1.0, abs_tol=1e-6):
+    # math.isclose(total, 1.0, abs_tol=1e-6): its relative tolerance only
+    # matters far from 1, where both reject
+    if not abs(total - 1.0) <= 1e-6:
         raise ValueError(f"scorer distribution sums to {total!r}, not 1")
 
 
@@ -177,6 +178,12 @@ class _Auto(NamedTuple):
         """Grammar-legal tokens that keep a valid completion reachable.
 
         ``budget`` is the number of steps remaining including this one.
+        The set depends on the source, on ``dist`` only inside an insertion,
+        and otherwise on the legality class ``(mode, consumed, span_len > 0,
+        spare)``, with ``spare`` as computed below clamped to [-2, 2]: only
+        the thresholds -1, 0, 1 and 2 are read.  The beam loop calls this once
+        per row and legality class (``_legal_moves``), the greedy walk once
+        per step.
         """
         mode = self.mode
         remaining = len(source) - self.consumed
@@ -206,12 +213,10 @@ class _Auto(NamedTuple):
 # beam search
 
 
-class _Beam(NamedTuple):
-    raw: tuple[str, ...]
-    state: object
-    auto: _Auto
-    selection: float
-    probs: tuple[float, ...]
+# A beam item, as a plain tuple: (raw, state, automaton, selection, probs),
+# with state None once the item has taken the end token.  A NamedTuple
+# costs a Python-level constructor call per item.
+_Beam = tuple[tuple[str, ...], object, _Auto, float, tuple[float, ...]]
 
 
 def _biased(p: float, token: str, offsets: dict[str, float]) -> float:
@@ -278,7 +283,10 @@ class _Table:
     row with no positive tag move needs no sort and no log after it is
     made.  Rows are plain tuples that never point at each other.  The
     halves are tuples too: kept as lists, they made the cyclic garbage
-    collector run about three times as often in a beam decode.
+    collector run about three times as often in a beam decode.  A beam
+    decode merges and masks a row's halves once per legality class of the
+    automaton (``_legal_moves``), not once per item, and keeps the result
+    for that call only, since a shared table outlives it.
     """
 
     def __init__(self, scorer: ScorerContract) -> None:
@@ -311,6 +319,10 @@ class _Table:
 def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> list[Hypothesis]:
     """K-best beam search; every hypothesis is repaired before being returned.
 
+    Under ``constrained`` a terminated hypothesis is valid as decoded: the
+    automaton offers the end token only where the raw sequence validates,
+    so it is its own repair and is not passed through ``repair``.
+
     Candidates rank on their probability plus the tag offset of cfg.bias
     (see ``_moves``).  Ties break on the token string per step and on the
     token tuple in the final order, so decoding is fully deterministic for a
@@ -321,10 +333,12 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     be a table, which ``grid_search_tune`` hands in to share one across a
     dev sentence's grid.  A row's non-tag moves come ranked and logged, so
     an item's moves are the head of that half merged with its tag moves
-    under the offsets; only those are ranked per item.  At beam 1 the
-    search is a greedy walk (``_greedy_decode``) that returns exactly what
-    the beam loop would.  A source holding a tag or domain token raises
-    ``ValueError``.
+    under the offsets.  The beam loop makes that list once per row and,
+    under ``constrained``, per legality class (see ``_Auto.allowed``), and
+    keeps it for the call; items that share both share the list.  It also
+    advances each automaton once per token.  At beam 1 the search is a
+    greedy walk (``_greedy_decode``) that returns exactly what the beam loop
+    would.  A source holding a tag or domain token raises ``ValueError``.
     """
     if not source:
         raise ValueError("source must be nonempty")
@@ -343,58 +357,101 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     if beam == 1:
         return [_greedy_decode(table, source, max_len, constrained, offsets)]
 
-    live = [_Beam((), table.scorer.start(source), _Auto(), 0.0, ())]
+    rows = table.rows
+    # (row identity, legality class) -> the row's first ``beam`` legal moves;
+    # the rows outlive the call, so an identity is never reused within it
+    ranked: dict = {}
+    advanced: dict[tuple[_Auto, str], _Auto] = {}  # (automaton, token) -> its advance
+    live: list[_Beam] = [((), table.scorer.start(source), _Auto(), 0.0, ())]
     done: list[_Beam] = []
     for step_no in range(max_len):
         budget = max_len - step_no
-        # (selection, token, parent, p, the parent's row's nexts)
-        pool: list[tuple[float, str, _Beam, float, dict]] = []
+        spare_base = budget - 2 - len(source)  # see ``_Auto.allowed``
+        # (-selection, raw, token, parent, p, the parent's row's nexts)
+        pool: list[tuple[float, tuple[str, ...], str, _Beam, float, dict]] = []
         for item in live:
-            dist, plain, tags, nexts = table.row(item.state)
+            raw, state, auto, selection, _ = item
+            # a hit skips the method call: this line runs once per item
+            row = rows.get(state) or table.row(state)
             if constrained:
-                mask = item.auto.allowed(source, dist, budget)
-                plain = [m for m in plain if m[1] in mask]
-                tags = [m for m in tags if m[0] in mask]
-                if not (plain or tags):
-                    # only zero-probability moves are legal when no positive one is
-                    plain = _zero_moves(dist, mask, offsets)
-            if tags:
-                plain = sorted(chain(plain[:beam], _tag_moves(tags, offsets)))
-            selection = item.selection
-            for _, tok, p, log_rank in plain[:beam]:
-                pool.append((selection + log_rank, tok, item, p, nexts))
+                mode, consumed, span_len = auto
+                spare = spare_base + consumed - (mode != "plain")
+                spare = -2 if spare < -2 else 2 if spare > 2 else spare
+                key = (id(row), mode, consumed, span_len > 0, spare)
+            else:
+                key = id(row)
+            moves = ranked.get(key)
+            if moves is None:
+                moves = ranked[key] = _legal_moves(
+                    row, auto if constrained else None, source, budget, offsets, beam
+                )
+            nexts = row[3]
+            for _, tok, p, log_rank in moves:
+                pool.append((-(selection + log_rank), raw, tok, item, p, nexts))
         if not pool:
             break
-        # every live raw has length step_no, so (raw, tok) orders as raw + (tok,)
-        pool.sort(key=lambda x: (-x[0], x[2].raw, x[1]))
+        # Live raws are distinct and all of length step_no, so (raw, tok)
+        # orders as raw + (tok,), and no comparison reaches the parent.
+        pool.sort()
         live = []
-        for sel, tok, item, p, nexts in pool[:beam]:
-            probs = item.probs + (p,)
+        for neg_sel, raw, tok, item, p, nexts in pool[:beam]:
+            _, state, auto, _, probs = item
+            probs += (p,)
             if tok == EOS:
-                done.append(_Beam(item.raw, None, item.auto, sel, probs))
-            else:
-                auto = item.auto.advance(tok) if constrained else item.auto
-                state = table.step(item.state, nexts, tok)
-                live.append(_Beam(item.raw + (tok,), state, auto, sel, probs))
+                done.append((raw, None, auto, -neg_sel, probs))
+                continue
+            if constrained:
+                parent, auto = auto, advanced.get((auto, tok))
+                if auto is None:
+                    auto = advanced[parent, tok] = parent.advance(tok)
+            state = nexts[tok] if tok in nexts else table.step(state, nexts, tok)
+            live.append((raw + (tok,), state, auto, -neg_sel, probs))
         if len(done) >= beam or not live:
             break
     # Unfinished items join the ranking: those out of budget, and also those
     # still live when ``beam`` items had finished, which can then outrank a
     # finished one.
     done.extend(live)
-    done.sort(key=lambda b: (-b.selection, b.raw))
+    done.sort(key=lambda b: (-b[3], b[0]))  # by selection, ties to the raw
     out = []
-    for b in done[: cfg.beam]:
+    for raw, state, _, selection, probs in done[: cfg.beam]:
+        terminated = state is None
         out.append(
             Hypothesis(
-                tagged=tuple(repair(list(b.raw), source)),
-                raw=b.raw,
-                probs=b.probs,
-                selection_score=b.selection,
-                terminated=b.state is None,
+                tagged=raw if constrained and terminated else tuple(repair(list(raw), source)),
+                raw=raw,
+                probs=probs,
+                selection_score=selection,
+                terminated=terminated,
             )
         )
     return out
+
+
+def _legal_moves(
+    row: tuple,
+    auto: _Auto | None,
+    source: TokenSeq,
+    budget: int,
+    offsets: dict[str, float],
+    beam: int,
+) -> Sequence[_Move]:
+    """A row's first ``beam`` moves in move order; those ``auto`` permits, unless it is None.
+
+    When the automaton permits no positive move, its zero-probability ones
+    (``_zero_moves``).
+    """
+    dist, plain, tags, _ = row
+    if auto is not None:
+        mask = auto.allowed(source, dist, budget)
+        plain = [m for m in plain if m[1] in mask]
+        tags = [m for m in tags if m[0] in mask]
+        if not (plain or tags):
+            # only zero-probability moves are legal when no positive one is
+            plain = _zero_moves(dist, mask, offsets)
+    if tags:
+        plain = sorted(chain(plain[:beam], _tag_moves(tags, offsets)))
+    return plain[:beam]
 
 
 def _greedy_decode(
@@ -561,6 +618,12 @@ class KBestRecord:
     is included, so ``len(probs) == len(tokens) + 1``.  These are all that
     re-scoring reads: a record re-scored at the bias it was decoded with
     gives the decoder's selection score, float for float.
+
+    On its first re-scoring a record keeps each step's unbiased log, taken
+    from that call's ``_StepLogs``, and the positions of its tag steps; the
+    cache is not a field, so equality ignores it.  A later re-scoring
+    overwrites only the tag steps: any other step adds 0.0 to its
+    probability, which leaves its log as kept.
     """
 
     sid: int
@@ -573,32 +636,23 @@ class KBestRecord:
         if len(self.probs) != steps:
             raise ValueError(f"expected {steps} probability entries, got {len(self.probs)}")
 
-    @cached_property
-    def _unbiased(self) -> tuple[array, tuple[int, ...]]:
-        """Each step's unbiased log, and the steps whose token is a tag.
-
-        Made on first use and kept for the record's life; it is not a field,
-        so equality ignores it.  An ``array`` holds a log in 8 bytes, where a
-        tuple of floats takes 32.
-        """
-        tags = tuple(i for i, t in enumerate(self.tokens) if t in TAG_TOKENS)
-        return array("d", map(_safe_log, self.probs)), tags
-
-    def _score(self, offsets: dict[str, float]) -> float:
-        """The selection score under tag ``offsets`` (``BiasVector.as_map``).
-
-        Only the tag steps are scored again: any other step adds 0.0 to its
-        probability, which leaves its log as cached.
-        """
-        logs, tags = self._unbiased
+    def _score(self, logs: "_StepLogs") -> float:
+        """The selection score under the offsets ``logs`` was made for."""
+        try:
+            unbiased, tags = self.__dict__["_unbiased"]
+        except KeyError:
+            unbiased = tuple(map(logs.plain.__getitem__, self.probs))
+            tags = tuple(i for i, t in enumerate(self.tokens) if t in TAG_TOKENS)
+            self.__dict__["_unbiased"] = unbiased, tags
         if tags:
-            logs = logs[:]
+            unbiased = list(unbiased)
+            tag_logs, tokens, probs = logs.tag, self.tokens, self.probs
             for i in tags:
-                logs[i] = _safe_log(_biased(self.probs[i], self.tokens[i], offsets))
+                unbiased[i] = tag_logs[tokens[i], probs[i]]
         # added left to right, as the decoder adds them: CPython 3.12 made
         # sum() of floats compensated, which would move the last bit
         total = 0.0
-        for v in logs:
+        for v in unbiased:
             total += v
         return total
 
@@ -607,7 +661,22 @@ class KBestRecord:
 
         ``BiasVector()`` is 0 for all four tags: the sum of the raw steps' logs.
         """
-        return self._score(bias.as_map())
+        return self._score(_StepLogs(bias.as_map()))
+
+
+class _StepLogs:
+    """The log of each step one re-scoring call reads, made once per distinct step.
+
+    ``plain`` maps a probability ``p`` to its log; ``tag`` maps a tag step
+    ``(token, p)`` to the log of ``p`` plus the token's offset (``_biased``).
+    A record keeps the floats of ``plain`` it was first scored with, so the
+    records of a dump share one float per distinct probability: a fresh
+    float per step would take 24 bytes more each.
+    """
+
+    def __init__(self, offsets: dict[str, float]) -> None:
+        self.plain = _Shared(_safe_log)
+        self.tag = _Shared(lambda step: _safe_log(_biased(step[1], step[0], offsets)))
 
 
 def record_from_hypothesis(sid: int, hyp: Hypothesis) -> KBestRecord:
@@ -615,6 +684,7 @@ def record_from_hypothesis(sid: int, hyp: Hypothesis) -> KBestRecord:
 
 
 def write_kbest(records: Iterable[KBestRecord], path: str) -> None:
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps makes one per call
     with atomic_write(path) as (fh,):
         for rec in records:
             obj = {
@@ -623,7 +693,7 @@ def write_kbest(records: Iterable[KBestRecord], path: str) -> None:
                 "probs": list(rec.probs),
                 "eos": rec.eos,
             }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(encode(obj) + "\n")
 
 
 def read_kbest(path: str) -> list[KBestRecord]:
@@ -686,14 +756,16 @@ class _KBestReader:
 def rerank_kbest(records: list[KBestRecord], bias: BiasVector) -> list[KBestRecord]:
     """Reorder each source id's hypotheses by selection score under ``bias``.
 
-    Ids keep their first-seen order.  ``BiasVector()``, 0 for all four tags,
-    ranks on the raw probabilities.
+    Ids keep their first-seen order, and hypotheses of an id equal in
+    score and tokens their input order.  ``BiasVector()``, 0 for all four
+    tags, ranks on the raw probabilities.  The call takes each distinct
+    step's log once (``_StepLogs``), for all its records.
     """
-    offsets = bias.as_map()
+    logs = _StepLogs(bias.as_map())
     groups: dict[int, list[KBestRecord]] = {}
     for rec in records:
         groups.setdefault(rec.sid, []).append(rec)
     out: list[KBestRecord] = []
     for group in groups.values():
-        out.extend(sorted(group, key=lambda r: (-r._score(offsets), r.tokens)))
+        out.extend(sorted(group, key=lambda r: (-r._score(logs), r.tokens)))
     return out

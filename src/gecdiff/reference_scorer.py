@@ -234,6 +234,10 @@ class RefScorer:
         for phrase, mass in self.del_mass.items():
             for k in range(1, len(phrase) + 1):
                 self.prefix_mass[phrase[:k]] += mass
+        # each insertion and replacement table's total count, which ``dist``
+        # reads on every plain state
+        self.ins_mass = {key: sum(c.values()) for key, c in lexicon.insertions.items()}
+        self.repl_mass = {src: sum(c.values()) for src, c in lexicon.replacements.items()}
 
     def _saturate(self, mass: float) -> float:
         return mass / (mass + self.saturation)
@@ -265,21 +269,20 @@ class RefScorer:
                 for k in range(1, MAX_PHRASE + 1):
                     if i + k > len(src):
                         break
-                    mass += self.del_mass.get(tuple(src[i : i + k]), 0.0)
+                    mass += self.del_mass.get(src[i : i + k], 0.0)
                 if mass > 0.0:
                     w[DEL_OPEN] = self.edit_weight * self._saturate(mass)
             else:
                 w[EOS] = self.copy_weight * self.lm.prob(EOS, state.ctx)
-            ins_tab = self.lexicon.insertions.get(_ins_key(src, i))
-            if ins_tab:
-                mass = sum(ins_tab.values())
+            mass = self.ins_mass.get(_ins_key(src, i))
+            if mass:
                 w[INS_OPEN] = self.edit_weight * self._saturate(mass)
-            if state.del_phrase in self.lexicon.replacements:
-                mass = sum(self.lexicon.replacements[state.del_phrase].values())
+            mass = self.repl_mass.get(state.del_phrase)
+            if mass is not None:
                 w[INS_OPEN] = w.get(INS_OPEN, 0.0) + self.repl_open_weight * self._saturate(mass)
         elif state.mode == "del":
             src, i = state.src, state.i
-            cur = tuple(src[state.del_start : i])
+            cur = src[state.del_start : i]
             if i < len(src) and len(cur) < MAX_PHRASE:
                 ext = self.prefix_mass.get(cur + (src[i],), 0.0)
                 if ext > 0.0:
@@ -332,7 +335,7 @@ class RefScorer:
             if mode == "del":
                 # only a phrase with replacement evidence is remembered: any
                 # other one would split a plain state that reads the same
-                phrase = tuple(src[del_start:i])
+                phrase = src[del_start:i]
                 if phrase in self.lexicon.replacements:
                     return RefState(src, i, nxt, ctx, 0, phrase)
             return RefState(src, i, nxt, ctx)

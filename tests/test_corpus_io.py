@@ -45,11 +45,19 @@ class TestParallelFiles:
         assert pairs[1].target == ("A", "dog", ".")
 
     def test_line_count_mismatch_names_both_files(self, tmp_path):
-        (tmp_path / "s").write_text("a\nb\n")
-        (tmp_path / "t").write_text("a\n")
+        s, t, d = (str(tmp_path / name) for name in ("m.src", "m.tgt", "m.dom"))
+        for name, text in ((s, "a\nb\n"), (t, "a\n"), (d, "x\ny\nz\n")):
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
         with pytest.raises(ValueError) as err:
-            load_parallel(str(tmp_path / "s"), str(tmp_path / "t"))
-        assert "2" in str(err.value) and "1" in str(err.value)
+            load_parallel(s, t)
+        assert str(err.value) == f"{s}:2: no line 2 in {t} ({s} has 2 lines, {t} has 1)"
+        with pytest.raises(ValueError) as err:
+            load_parallel(t, s)  # the longer file is named whichever side it is
+        assert str(err.value) == f"{s}:2: no line 2 in {t} ({s} has 2 lines, {t} has 1)"
+        with pytest.raises(ValueError) as err:
+            load_parallel(s, s, d)
+        assert str(err.value) == f"{d}:3: no line 3 in {s} ({d} has 3 lines, {s} has 2)"
 
     def test_domain_labels(self, tmp_path):
         (tmp_path / "s").write_text("a\n")
@@ -566,21 +574,24 @@ def oracle_read_token_lines(path: str) -> list[list[str]]:
 def oracle_load_parallel(
     src_path: str, tgt_path: str, dom_path: str | None = None
 ) -> list[SentencePair]:
+    def unpaired(a: str, a_lines: list, b: str, b_lines: list) -> ValueError:
+        # the longer file's first line with no partner in the shorter one
+        if len(a_lines) < len(b_lines):
+            a, a_lines, b, b_lines = b, b_lines, a, a_lines
+        n = len(b_lines) + 1
+        return ValueError(
+            f"{a}:{n}: no line {n} in {b} ({a} has {len(a_lines)} lines, {b} has {len(b_lines)})"
+        )
+
     src_lines = read_lines(src_path)
     tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
-        raise ValueError(
-            f"line count mismatch: {src_path} has {len(src_lines)}, "
-            f"{tgt_path} has {len(tgt_lines)}"
-        )
+        raise unpaired(src_path, src_lines, tgt_path, tgt_lines)
     domains: list[str | None]
     if dom_path is not None:
         dom_lines = read_lines(dom_path)
         if len(dom_lines) != len(src_lines):
-            raise ValueError(
-                f"line count mismatch: {src_path} has {len(src_lines)}, "
-                f"{dom_path} has {len(dom_lines)}"
-            )
+            raise unpaired(src_path, src_lines, dom_path, dom_lines)
         domains = []
         for n, line in enumerate(dom_lines, 1):
             label = line.strip()
@@ -835,7 +846,9 @@ class TestReadersShareStrings:
         "src, tgt, dom",
         [
             pytest.param("a\nb\n", "a\n", None, id="target-short"),
+            pytest.param("a\n", "a\nb\n", None, id="source-short"),
             pytest.param("a\nb\n", "a\nb\n", "x\n", id="domains-short"),
+            pytest.param("a\nb\n", "a\nb\n", "x\ny\nz\n", id="domains-long"),
             pytest.param("a\nb\n", "a\nb\n", "x\n \n", id="empty-label"),
             pytest.param("a\nb\n", "a\nb\n", "x\nweb log\n", id="label-with-space"),
         ],

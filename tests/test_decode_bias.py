@@ -632,6 +632,45 @@ class TestRerankFromCachedLogs:
         with pytest.raises(ValueError, match="probability entries"):
             KBestRecord(0, tokens, (0.5,) * probs, eos)
 
+    @pytest.mark.parametrize("bias", [BiasVector(), BiasVector.tied(0.4), BiasVector(0.4, 0, 0, 0)])
+    def test_edge_records_score_and_rank_as_the_oracle(self, bias):
+        records = [
+            KBestRecord(0, ("a", "b"), (0.5, 0.25, 0.9), True),  # no tag step
+            KBestRecord(0, (DEL_OPEN, "a", DEL_CLOSE), (0.1, 0.7, 0.3), False),  # tag first
+            KBestRecord(0, (DEL_OPEN, "a", DEL_CLOSE), (0.0, 0.7, 0.3, 0.9), True),  # tag with p = 0
+            KBestRecord(1, (), (), False),
+            # the same id and tokens, and equal scores: input order decides
+            KBestRecord(2, ("x", INS_OPEN), (0.5, 0.2), False),
+            KBestRecord(2, ("x", INS_OPEN), (0.2, 0.5), False),
+            KBestRecord(2, ("x", INS_OPEN), (0.5, 0.2), False),
+        ]
+        for recs in (records, records[::-1]):
+            fresh = [replace(r) for r in recs]  # no logs kept yet
+            for rec, twin in zip(recs, fresh):
+                want = oracle_selection_score(rec, bias).hex()
+                assert rec.selection_score(bias).hex() == want
+                assert twin._score(decode_bias._StepLogs(bias.as_map())).hex() == want
+            for rs in (recs, fresh):
+                got, want = rerank_kbest(rs, bias), oracle_rerank_kbest(rs, bias)
+                assert [id(r) for r in got] == [id(r) for r in want]
+
+    def test_integer_probabilities_rank_as_the_oracle(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        lines = [
+            {"id": 0, "tokens": ["a", DEL_OPEN, "b", DEL_CLOSE], "probs": [1, 0, 1, 1, 0], "eos": True},
+            {"id": 0, "tokens": [INS_OPEN, "c", INS_CLOSE], "probs": [0, 1, 1], "eos": False},
+            {"id": 0, "tokens": ["a"], "probs": [1, 0.5], "eos": True},
+        ]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        back = read_kbest(str(path))
+        assert {type(p) for rec in back for p in rec.probs} == {float}
+        for bias in (BiasVector(), BiasVector.tied(0.4), BiasVector(0.0, 0.0, 1.0, 0.0)):
+            assert [r.selection_score(bias) for r in back] == [
+                oracle_selection_score(r, bias) for r in back
+            ]
+            got, want = rerank_kbest(back, bias), oracle_rerank_kbest(back, bias)
+            assert [id(r) for r in got] == [id(r) for r in want]
+
     def test_cache_is_not_a_field(self):
         rec = random_records(0)[0]
         twin = replace(rec)
@@ -1088,6 +1127,135 @@ def test_matches_reference_decoder(scs, sources, constrained, bias, beam, tight)
                 cfg = replace(cfg, bias=bias)
             want = oracle_beam_decode(sc, src, cfg, unbiased=bias is None)
             assert beam_decode(sc, src, cfg) == want
+
+
+@pytest.mark.parametrize(
+    "drop, scale, error",
+    [
+        *((tok, 1.0, f"missing entry for {tok}") for tok in (*TAG_TOKENS, EOS)),
+        (None, 0.5, "sums to 0.5, not 1"),
+        (None, math.nan, "sums to nan, not 1"),
+        (None, 1.0 + 1e-7, None),  # within the tolerance
+    ],
+)
+def test_check_dist_names_what_is_wrong(drop, scale, error):
+    dist = {"a": 0.5, DEL_OPEN: 0.25, DEL_CLOSE: 0.0, INS_OPEN: 0.25, INS_CLOSE: 0.0, EOS: 0.0}
+    dist = {t: p * scale for t, p in dist.items() if t != drop}
+    if error is None:
+        _check_dist(dist)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"scorer distribution {error}")):
+            _check_dist(dist)
+
+
+def test_check_dist_sum_tolerance_is_math_isclose():
+    near = [1.0 + k * 1e-6 for k in (-1, 1)] + [math.nextafter(1.0 + 1e-6, math.inf)]
+    near += [math.nextafter(1.0 - 1e-6, -math.inf), 1e3, 1e300, math.inf, -math.inf, math.nan]
+    for total in near + [1.0, 0.0, -1.0]:
+        dist = {"a": total, **dict.fromkeys((*TAG_TOKENS, EOS), 0.0)}
+        try:
+            _check_dist(dist)
+            passed = True
+        except ValueError:
+            passed = False
+        assert passed == math.isclose(total, 1.0, abs_tol=1e-6), total
+
+
+class LastToken:
+    """A state keeps only the last token, so one row meets many automata and budgets."""
+
+    def step(self, state, token):
+        return (state[0], (token,))
+
+
+class LastTokenFuzz(LastToken, FuzzScorer):
+    pass
+
+
+class LastTokenTies(LastToken, TieScorer):
+    pass
+
+
+class OneRow:
+    """A state that never changes: its one row meets every automaton of a decode."""
+
+    def step(self, state, token):
+        return state
+
+
+class OneRowFuzz(OneRow, FuzzScorer):
+    pass
+
+
+class OneRowTies(OneRow, TieScorer):
+    pass
+
+
+def cache_cases():
+    ref, ref_sources = synthetic_ref_scorer(3, edit_weight=0.003)
+    rng = random.Random(8)
+    toy = [SRC, ["a", "b", "c", "a"]] + [
+        [rng.choice("abc") for _ in range(rng.randint(1, 5))] for _ in range(4)
+    ]
+    scorers = [  # name, scorers, sources, whether a state can be reached twice
+        ("fuzz", [FuzzScorer(seed) for seed in range(2)], toy, False),
+        ("fuzz-last", [LastTokenFuzz(seed) for seed in range(3)], toy, True),
+        ("ties-last", [LastTokenTies(seed) for seed in range(3)], toy, True),
+        ("fuzz-one-row", [OneRowFuzz(seed) for seed in range(6)], toy, True),
+        ("ties-one-row", [OneRowTies(seed) for seed in range(6)], toy, True),
+        ("ref", [ref], ref_sources, True),
+    ]
+    for name, scs, sources, revisits in scorers:
+        for beam in (2, 3, 10):
+            yield pytest.param(scs, sources, beam, revisits, id=f"{name}-beam{beam}")
+
+
+@pytest.mark.parametrize("scs,sources,beam,revisits", list(cache_cases()))
+def test_moves_cached_per_row_and_legality_class(monkeypatch, scs, sources, beam, revisits):
+    # The beam loop ranks a row's legal moves once per call and legality
+    # class.  Budgets from the shortest a constrained decode accepts to 5
+    # steps more keep the spare steps near the thresholds the automaton
+    # reads (-1 to 2), so one row meets several classes in one call.
+    made = Counter()  # (decode, row) -> move lists made for it
+    legal_moves = decode_bias._legal_moves
+
+    def counting(row, *args):
+        made[decode_no, id(row)] += 1
+        return legal_moves(row, *args)
+
+    monkeypatch.setattr(decode_bias, "_legal_moves", counting)
+    decode_no = 0
+    for sc in scs:
+        for src in sources:
+            for extra in range(1, 7):
+                for bias in (BiasVector(), BiasVector.tied(0.3), BiasVector(0.7, 0.1, 0.5, 0.0)):
+                    decode_no += 1
+                    cfg = DecodeConfig(beam, len(src) + extra, True, bias)
+                    assert beam_decode(sc, src, cfg) == oracle_beam_decode(sc, src, cfg)
+    # a row met in two classes of one call gets a move list for each
+    assert (max(made.values()) > 1) == revisits
+
+
+@pytest.mark.parametrize("beam", [1, 3, 10])
+def test_constrained_terminated_raw_is_valid_and_its_own_repair(beam):
+    # The beam loop hands a terminated constrained raw out as its repaired
+    # form: the automaton offers EOS only where the raw validates.
+    ref, ref_sources = synthetic_ref_scorer(3)
+    light, _ = synthetic_ref_scorer(3, edit_weight=0.003)
+    cases = [(sc, [SRC, ["a", "b", "c", "a"]]) for sc in (FuzzScorer(1), TieScorer(2))]
+    cases += [(ref, ref_sources), (light, ref_sources)]
+    terminated = 0
+    for sc, sources in cases:
+        for src in sources:
+            for max_len in (len(src) + 1, len(src) + 3, None):
+                for bias in (BiasVector(), BiasVector.tied(0.5)):
+                    cfg = DecodeConfig(beam, max_len, True, bias)
+                    for h in beam_decode(sc, src, cfg):
+                        if h.terminated:
+                            terminated += 1
+                            assert validate_tagged(list(h.raw), src).valid
+                            assert tuple(repair(list(h.raw), src)) == h.raw == h.tagged
+    assert terminated
 
 
 class TwoMoveScorer:
