@@ -31,6 +31,7 @@ from .analysis import (
 )
 from .corpus_io import (
     PRESETS,
+    _check_paired,
     corpus_stats,
     filter_lang8,
     length_filter,
@@ -91,9 +92,11 @@ def _write_json(path: str, obj) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _check_same_length(name_a: str, a: list, name_b: str, b: list) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"{name_a} has {len(a)} lines, {name_b} has {len(b)}")
+def _check_gold_count(hyp_path: str, hyps: list, gold_path: str, golds: list) -> None:
+    """Raise unless each hypothesis line has a gold sentence; an M2 sentence is no line."""
+    if len(hyps) != len(golds):
+        n, m = len(hyps), len(golds)
+        raise ValueError(f"{hyp_path} has {n} lines, {gold_path} has {m} sentences")
 
 
 def _read_untagged(path: str, what: str, allow_empty: bool = True) -> list[TokenSeq]:
@@ -143,14 +146,14 @@ def _cmd_strip(args):
 def _cmd_repair(args):
     tagged_lines = read_token_lines(args.infile)
     sources = _read_untagged(args.src, "source")
-    _check_same_length(args.infile, tagged_lines, args.src, sources)
+    _check_paired(args.infile, tagged_lines, args.src, sources)
     write_token_lines(args.out, [repair(t, s) for t, s in zip(tagged_lines, sources)])
 
 
 def _cmd_validate(args):
     tagged_lines = read_token_lines(args.infile)
     sources = _read_untagged(args.src, "source")
-    _check_same_length(args.infile, tagged_lines, args.src, sources)
+    _check_paired(args.infile, tagged_lines, args.src, sources)
     records = []
     valid = 0
     for n, (tagged, source) in enumerate(zip(tagged_lines, sources), 1):
@@ -315,8 +318,8 @@ def _cmd_gleu(args):
     hyps = _read_untagged(args.hyp, "hypothesis")
     srcs = _read_untagged(args.src, "source")
     refs = _read_untagged(args.ref, "reference")
-    _check_same_length(args.hyp, hyps, args.src, srcs)
-    _check_same_length(args.hyp, hyps, args.ref, refs)
+    _check_paired(args.hyp, hyps, args.src, srcs)
+    _check_paired(args.hyp, hyps, args.ref, refs)
     report = gleu(hyps, srcs, refs, order=args.order)
     print(f"GLEU {pct(report.corpus)}")
     if args.sentence_out:
@@ -327,7 +330,7 @@ def _cmd_gleu(args):
 def _cmd_m2(args):
     hyps = _read_untagged(args.hyp, "hypothesis")
     golds = load_m2_gold(args.gold)
-    _check_same_length(args.hyp, hyps, args.gold, golds)
+    _check_gold_count(args.hyp, hyps, args.gold, golds)
     report = m2_corpus(hyps, golds, args.max_unchanged, args.beta)
     o = report.overall
     print(f"P {pct(o.precision)}  R {pct(o.recall)}  F{args.beta} {pct(o.f_beta)}")
@@ -340,7 +343,7 @@ def _cmd_m2(args):
 def _cmd_bootstrap(args):
     hyps_a = _read_untagged(args.hyp_a, "hypothesis")
     hyps_b = _read_untagged(args.hyp_b, "hypothesis")
-    _check_same_length(args.hyp_a, hyps_a, args.hyp_b, hyps_b)
+    _check_paired(args.hyp_a, hyps_a, args.hyp_b, hyps_b)
     if args.metric == "gleu":
         if args.gold:
             raise ValueError("--gold only applies to the m2 metric")
@@ -348,8 +351,8 @@ def _cmd_bootstrap(args):
             raise ValueError("gleu bootstrap needs --src and --ref")
         srcs = _read_untagged(args.src, "source")
         refs = _read_untagged(args.ref, "reference")
-        _check_same_length(args.hyp_a, hyps_a, args.src, srcs)
-        _check_same_length(args.hyp_a, hyps_a, args.ref, refs)
+        _check_paired(args.hyp_a, hyps_a, args.src, srcs)
+        _check_paired(args.hyp_a, hyps_a, args.ref, refs)
 
         def stats(hyps):
             return [gleu_sentence_stats(h, s, r) for h, s, r in zip(hyps, srcs, refs)]
@@ -359,7 +362,7 @@ def _cmd_bootstrap(args):
         if not args.gold:
             raise ValueError("m2 bootstrap needs --gold")
         golds = load_m2_gold(args.gold)
-        _check_same_length(args.hyp_a, hyps_a, args.gold, golds)
+        _check_gold_count(args.hyp_a, hyps_a, args.gold, golds)
 
         def stats(hyps):
             return [m2_maxmatch(h, g, args.max_unchanged, args.beta) for h, g in zip(hyps, golds)]
@@ -385,7 +388,7 @@ def _cmd_analyze(args):
         raise ValueError("--train-src and --train-tgt go together")
     hyps = _read_untagged(args.hyp, "hypothesis")
     golds = load_m2_gold(args.gold)
-    _check_same_length(args.hyp, hyps, args.gold, golds)
+    _check_gold_count(args.hyp, hyps, args.gold, golds)
     system = []
     gold_sets = []
     for hyp, ann in zip(hyps, golds):

@@ -131,7 +131,7 @@ def _not_utf8(path: str) -> ValueError:
     return ValueError(f"{path}: not valid UTF-8")
 
 
-def _check_paired(path: str, lines: list[str], other_path: str, other: list[str]) -> None:
+def _check_paired(path: str, lines: list, other_path: str, other: list) -> None:
     """Raise unless the two files pair line for line.
 
     The error names the longer file's first line with no partner, as

@@ -232,41 +232,25 @@ def _biased(p: float, token: str, offsets: dict[str, float]) -> float:
     return p + offsets.get(token, 0.0)
 
 
-def _moves(
-    candidates: Iterable[tuple[str, float]], offsets: dict[str, float]
-) -> list[tuple[float, str, float]]:
-    """``(-ranking value, token, p)`` per candidate ``(token, p)``.
-
-    The ranking value is ``p`` plus the token's offset; only the tag tokens
-    have one.  The natural order of these tuples is the move order, best
-    first: the highest raw ranking value, ties to the smaller token.  Ranking
-    on the raw value, not its log, matters: two distinct probabilities can
-    share a log.
-    """
-    return [(-_biased(p, t, offsets), t, p) for t, p in candidates]
-
-
 # A move as the decoder reads it: ``(-ranking value, token, p, log of ranking
-# value)``.  Moves order as ``_moves`` does; the token decides a tie, so the
-# last two fields are never compared.
+# value)``.  The token decides a tie, so the last two fields are never compared.
 _Move = tuple[float, str, float, float]
 _NO_MOVE: _Move = (math.inf, "", 0.0, 0.0)  # ranks below every move
 
 
-def _tag_moves(tags: tuple[tuple[str, float], ...], offsets: dict[str, float]) -> list[_Move]:
-    """A row's tag half under ``offsets``: each move ranked on ``p`` plus its offset."""
+def _ranked(pairs: Iterable[tuple[str, float]], offsets: dict[str, float]) -> list[_Move]:
+    """Each ``(token, p)`` of ``pairs`` as a move under ``offsets``, in move order.
+
+    Move order is the natural order of moves, best first: the highest raw
+    ranking value, ties to the smaller token.  Ranking on the raw value, not
+    its log, matters: two distinct probabilities can share a log.
+    """
     moves = []
-    for t, p in tags:
+    for t, p in pairs:
         value = _biased(p, t, offsets)
         moves.append((-value, t, p, _safe_log(value)))
-    return moves
-
-
-def _zero_moves(dist: dict[str, float], mask: set[str], offsets: dict[str, float]) -> list[_Move]:
-    """The moves ``mask`` permits, in move order, when none has a positive probability."""
-    moves = _moves(((t, dist.get(t, 0.0)) for t in mask), offsets)
     moves.sort()
-    return [(r, t, p, _safe_log(-r)) for r, t, p in moves]
+    return moves
 
 
 class _Table:
@@ -279,7 +263,7 @@ class _Table:
     and logged once: an offset never touches them, since ``p + 0.0 == p``.
     The tag half ``tags`` is the tag moves as ``(token, p)``, neither
     ranked nor logged: a call ranks them under its own offsets, and logs
-    each one (``_tag_moves``) or, at beam 1, only the one that wins.  A
+    each one (``_ranked``) or, at beam 1, only the one that wins.  A
     row with no positive tag move needs no sort and no log after it is
     made.  Rows are plain tuples that never point at each other.  The
     halves are tuples too: kept as lists, they made the cyclic garbage
@@ -304,9 +288,8 @@ class _Table:
                     if t in TAG_TOKENS:
                         tags.append((t, p))
                     else:
-                        plain.append((-p, t, p, _safe_log(p)))
-            plain.sort()
-            row = self.rows[state] = (dist, tuple(plain), tuple(tags), {})
+                        plain.append((t, p))
+            row = self.rows[state] = (dist, tuple(_ranked(plain, {})), tuple(tags), {})
         return row
 
     def step(self, state, nexts: dict, token: str):
@@ -324,7 +307,7 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     so it is its own repair and is not passed through ``repair``.
 
     Candidates rank on their probability plus the tag offset of cfg.bias
-    (see ``_moves``).  Ties break on the token string per step and on the
+    (see ``_ranked``).  Ties break on the token string per step and on the
     token tuple in the final order, so decoding is fully deterministic for a
     deterministic scorer.
 
@@ -413,19 +396,33 @@ def beam_decode(scorer: ScorerContract, source: TokenSeq, cfg: DecodeConfig) -> 
     # finished one.
     done.extend(live)
     done.sort(key=lambda b: (-b[3], b[0]))  # by selection, ties to the raw
-    out = []
-    for raw, state, _, selection, probs in done[: cfg.beam]:
-        terminated = state is None
-        out.append(
-            Hypothesis(
-                tagged=raw if constrained and terminated else tuple(repair(list(raw), source)),
-                raw=raw,
-                probs=probs,
-                selection_score=selection,
-                terminated=terminated,
-            )
-        )
-    return out
+    return [_hypothesis(item, source, constrained) for item in done[:beam]]
+
+
+def _hypothesis(item: _Beam, source: TokenSeq, constrained: bool) -> Hypothesis:
+    """A final beam item as a candidate: repaired, unless a terminated constrained raw."""
+    raw, state, _, selection, probs = item
+    terminated = state is None
+    tagged = raw if constrained and terminated else tuple(repair(list(raw), source))
+    return Hypothesis(tagged, raw, probs, selection, terminated)
+
+
+def _masked(
+    row: tuple, auto: _Auto, source: TokenSeq, budget: int, offsets: dict[str, float]
+) -> tuple[Sequence[_Move], Sequence[tuple[str, float]]]:
+    """A row's two halves cut to the moves ``auto`` permits with ``budget`` steps left.
+
+    When it permits no positive move, the plain half is its zero-probability
+    ones, ranked under ``offsets``; both halves are empty only when it
+    permits none.
+    """
+    dist, plain, tags, _ = row
+    mask = auto.allowed(source, dist, budget)
+    plain = [m for m in plain if m[1] in mask]
+    tags = [m for m in tags if m[0] in mask]
+    if not (plain or tags):
+        plain = _ranked(((t, dist.get(t, 0.0)) for t in mask), offsets)
+    return plain, tags
 
 
 def _legal_moves(
@@ -436,21 +433,13 @@ def _legal_moves(
     offsets: dict[str, float],
     beam: int,
 ) -> Sequence[_Move]:
-    """A row's first ``beam`` moves in move order; those ``auto`` permits, unless it is None.
-
-    When the automaton permits no positive move, its zero-probability ones
-    (``_zero_moves``).
-    """
-    dist, plain, tags, _ = row
-    if auto is not None:
-        mask = auto.allowed(source, dist, budget)
-        plain = [m for m in plain if m[1] in mask]
-        tags = [m for m in tags if m[0] in mask]
-        if not (plain or tags):
-            # only zero-probability moves are legal when no positive one is
-            plain = _zero_moves(dist, mask, offsets)
+    """A row's first ``beam`` moves in move order; those ``auto`` permits, unless it is None."""
+    if auto is None:
+        _, plain, tags, _ = row
+    else:
+        plain, tags = _masked(row, auto, source, budget, offsets)
     if tags:
-        plain = sorted(chain(plain[:beam], _tag_moves(tags, offsets)))
+        plain = sorted(chain(plain[:beam], _ranked(tags, offsets)))
     return plain[:beam]
 
 
@@ -476,19 +465,15 @@ def _greedy_decode(
     raw: list[str] = []
     probs: list[float] = []
     selection = 0.0
-    terminated = False
     rows = table.rows
     for step_no in range(max_len):
         # a hit skips the method call: this line runs once per step
-        dist, plain, tags, nexts = rows.get(state) or table.row(state)
+        row = rows.get(state) or table.row(state)
+        _, plain, tags, nexts = row
         if constrained:
-            mask = auto.allowed(source, dist, max_len - step_no)
-            plain = [m for m in plain if m[1] in mask]
-            tags = [m for m in tags if m[0] in mask]
+            plain, tags = _masked(row, auto, source, max_len - step_no, offsets)
             if not (plain or tags):
-                plain = _zero_moves(dist, mask, offsets)
-                if not plain:
-                    break
+                break
         # the head of the bias-free half against each tag move, in move order
         neg_rank, tok, p, log_rank = plain[0] if plain else _NO_MOVE
         for tag, tag_p in tags:
@@ -500,19 +485,13 @@ def _greedy_decode(
         selection += log_rank
         probs.append(p)
         if tok == EOS:
-            terminated = True
+            state = None  # terminated, as a beam item marks it
             break
         raw.append(tok)
         if constrained:
             auto = auto.advance(tok)
         state = nexts[tok] if tok in nexts else table.step(state, nexts, tok)
-    return Hypothesis(
-        tagged=tuple(repair(raw, source)),
-        raw=tuple(raw),
-        probs=tuple(probs),
-        selection_score=selection,
-        terminated=terminated,
-    )
+    return _hypothesis((tuple(raw), state, auto, selection, tuple(probs)), source, constrained)
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +724,9 @@ class _KBestReader:
                 if not all(type(p) in _NUMBER_TYPES and 0.0 <= p <= 1.0 for p in numbers):
                     raise ValueError("probabilities must be numbers in [0, 1]")
                 self.checked.update(numbers)
+            return KBestRecord(sid, tuple(map(self.words.__getitem__, tokens)), probs, eos)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{self.path}:{lineno}: bad k-best record: {exc}") from exc
-        expect = len(tokens) + (1 if eos else 0)
-        if len(probs) != expect:
-            raise ValueError(f"{self.path}:{lineno}: expected {expect} probability entries")
-        return KBestRecord(sid, tuple(map(self.words.__getitem__, tokens)), probs, eos)
 
 
 def rerank_kbest(records: list[KBestRecord], bias: BiasVector) -> list[KBestRecord]:

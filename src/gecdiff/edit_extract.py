@@ -1,13 +1,13 @@
 """Token alignment and span-edit extraction.
 
-Edits are produced three ways: from a unit-cost Levenshtein alignment of two
-token sequences, directly from a diff-tagged sequence, or from the difflib
-opcodes of a pair (``pair_edits``), which is what that pair's tagged encoding
-parses to.  All yield sorted, non-overlapping ``Edit`` lists that reproduce
-the target when applied to the source.  ``lattice_arcs`` additionally
-enumerates every mergeable alignment window as an ``Edit``; the MaxMatch
-scorer in ``metrics`` walks the same windows as integer spans instead of
-building them.
+Edits are read two ways: directly from a diff-tagged sequence
+(``edits_from_tagged``), or from the difflib opcodes of a pair
+(``pair_edits``), which is what that pair's tagged encoding parses to.  Both
+yield sorted, non-overlapping ``Edit`` lists that reproduce the target when
+applied to the source.  ``levenshtein_align`` aligns a hypothesis with its
+source for the MaxMatch scorer in ``metrics``, which walks every mergeable
+window of that alignment as an integer span; ``lattice_arcs`` enumerates the
+same windows as ``Edit``s.
 """
 
 from __future__ import annotations
@@ -93,19 +93,6 @@ def check_edits(edits: list[Edit], source: TokenSeq) -> None:
         prev = e
 
 
-def apply_edits(source: TokenSeq, edits: list[Edit]) -> TokenSeq:
-    """Apply a valid EditSet left to right."""
-    check_edits(edits, source)
-    out: TokenSeq = []
-    pos = 0
-    for e in edits:
-        out.extend(source[pos : e.start])
-        out.extend(e.replacement)
-        pos = e.end
-    out.extend(source[pos:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # alignment
 
@@ -180,39 +167,6 @@ def _window_edit(align: AlignmentOps, lo: int, hi: int) -> Edit:
         deleted.extend(align.source[op.i : op.j])
         replacement.extend(align.target[op.k : op.l])
     return Edit(ops[lo].i, ops[hi - 1].j, tuple(deleted), tuple(replacement))
-
-
-def extract_edits(align: AlignmentOps, max_unchanged: int = 2) -> list[Edit]:
-    """Group non-equal ops into edits.
-
-    Adjacent non-equal ops always merge; runs separated by equal tokens merge
-    greedily while the merged edit holds at most ``max_unchanged`` unchanged
-    tokens, which then become part of both sides of the edit.
-    """
-    if max_unchanged < 0:
-        raise ValueError("max_unchanged must be >= 0")
-    ops = align.ops
-    edits: list[Edit] = []
-    lo = None  # start of the current group
-    hi = 0  # end (exclusive) of the last non-equal op in the group
-    internal = 0  # equal tokens inside the current group
-    gap = 0  # equal tokens since the last non-equal op
-    for idx, op in enumerate(ops):
-        if op.kind == "equal":
-            gap += 1
-            continue
-        if lo is None:
-            lo, hi, internal = idx, idx + 1, 0
-        elif internal + gap <= max_unchanged:
-            internal += gap
-            hi = idx + 1
-        else:
-            edits.append(_window_edit(align, lo, hi))
-            lo, hi, internal = idx, idx + 1, 0
-        gap = 0
-    if lo is not None:
-        edits.append(_window_edit(align, lo, hi))
-    return edits
 
 
 def edits_from_tagged(tagged: TokenSeq) -> list[Edit]:

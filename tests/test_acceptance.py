@@ -30,7 +30,6 @@ from gecdiff.diff_codec import (
 )
 from gecdiff.edit_extract import (
     Edit,
-    apply_edits,
     check_edits,
     edits_from_tagged,
     lattice_arcs,
@@ -40,6 +39,7 @@ from gecdiff.metrics import PRF, GoldAnnotation, f_beta, gleu, m2_maxmatch, pair
 from gecdiff.reference_scorer import harvest, scorer, train_lm
 from gecdiff.text_norm import TAG_TOKENS
 from test_decode_bias import oracle_beam_decode
+from test_edit_extract import apply_edits
 
 
 def _report(num: int, ok: bool, text: str) -> None:

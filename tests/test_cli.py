@@ -634,7 +634,27 @@ class TestLineErrors:
             write(name, "the cat\n")
         write(files[flag], "the cat\nthe dog\n")
         argv = ["gleu"] + [x for kv in files.items() for x in kv]
-        self.fails_with(capsys, argv, f"hyp.txt has 1 lines, {files[flag]} has 2")
+        other = files[flag]
+        self.fails_with(
+            capsys, argv, f"{other}:2: no line 2 in hyp.txt ({other} has 2 lines, hyp.txt has 1)"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["m2", "--hyp", "hyp.txt"],
+            ["analyze", "--hyp", "hyp.txt"],
+            ["bootstrap", "--metric", "m2", "--hyp-a", "hyp.txt", "--hyp-b", "hyp.txt"],
+        ],
+    )
+    def test_m2_scorers_count_gold_sentences_not_lines(self, capsys, argv):
+        # a gold sentence spans several lines of the M2 file, so the count
+        # names no line of it
+        write("hyp.txt", "the mouse sat\n")
+        write("gold.m2", TEST_GOLD)
+        self.fails_with(
+            capsys, argv + ["--gold", "gold.m2"], "hyp.txt has 1 lines, gold.m2 has 2 sentences"
+        )
 
     @pytest.mark.parametrize(
         "flag, what",

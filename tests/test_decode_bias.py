@@ -23,7 +23,7 @@ from gecdiff.decode_bias import (
     _Auto,
     _check_dist,
     _grid_values,
-    _moves,
+    _ranked,
     _safe_log,
     beam_decode,
     grid_search_tune,
@@ -118,11 +118,12 @@ def oracle_ranked_moves(candidates, offsets):
     """``(log of ranking value, token, p)`` in move order, as one list.
 
     The move-order oracle: a row's two halves merged under ``offsets`` must
-    read the same.
+    read the same.  A ranking value is ``p`` plus the token's offset; moves
+    go from the highest value down, ties to the smaller token, and a value
+    of 0.0 logs as -60.0.
     """
-    moves = _moves(candidates, offsets)
-    moves.sort()
-    return [(_safe_log(-r), t, p) for r, t, p in moves]
+    moves = sorted((-(p + offsets.get(t, 0.0)), t, p) for t, p in candidates)
+    return [(math.log(-r) if r < 0.0 else -60.0, t, p) for r, t, p in moves]
 
 
 class TestBiasVector:
@@ -141,7 +142,7 @@ class TestBiasVector:
     def test_apply_bias_only_touches_tags(self):
         dist = {"x": 0.5, DEL_OPEN: 0.1, DEL_CLOSE: 0.0, INS_OPEN: 0.2, INS_CLOSE: 0.0, EOS: 0.2}
         offsets = BiasVector(0.4, 0.3, 0.2, 0.1).as_map()
-        ranks = {t: -r for r, t, _ in _moves(dist.items(), offsets)}
+        ranks = {t: -r for r, t, _, _ in _ranked(dist.items(), offsets)}
         assert ranks["x"] == 0.5 and ranks[EOS] == 0.2
         assert ranks[DEL_OPEN] == pytest.approx(0.5)
         assert ranks[DEL_CLOSE] == pytest.approx(0.3)
@@ -540,11 +541,11 @@ def oracle_read_kbest(path):
                 raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
             if not all(0.0 <= p <= 1.0 for p in probs):
                 raise ValueError("probabilities must be numbers in [0, 1]")
+            expect = len(tokens) + (1 if eos else 0)
+            if len(probs) != expect:
+                raise ValueError(f"expected {expect} probability entries, got {len(probs)}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad k-best record: {exc}") from exc
-        expect = len(tokens) + (1 if eos else 0)
-        if len(probs) != expect:
-            raise ValueError(f"{path}:{lineno}: expected {expect} probability entries")
         out.append(KBestRecord(sid, tuple(tokens), probs, eos))
     return out
 
@@ -799,7 +800,10 @@ class TestReadSharesValues:
             pytest.param("probs", "[Infinity]", _BAD_PROBS, id="prob-inf"),
             pytest.param("probs", "[-Infinity]", _BAD_PROBS, id="prob-minus-inf"),
             pytest.param("probs", '["nan"]', _BAD_PROBS, id="prob-nan-string"),
-            pytest.param("probs", "[0.5, 0.5]", "expected 1 probability entries", id="probs-too-many"),
+            pytest.param(
+                "probs", "[0.5, 0.5]", "bad k-best record: expected 1 probability entries, got 2",
+                id="probs-too-many",
+            ),
             pytest.param(
                 "id", '"0"', "bad k-best record: id must be an integer, got '0'",
                 id="id-string-and-bad-tag",
@@ -1237,20 +1241,31 @@ def test_moves_cached_per_row_and_legality_class(monkeypatch, scs, sources, beam
 
 
 @pytest.mark.parametrize("beam", [1, 3, 10])
-def test_constrained_terminated_raw_is_valid_and_its_own_repair(beam):
-    # The beam loop hands a terminated constrained raw out as its repaired
-    # form: the automaton offers EOS only where the raw validates.
+def test_constrained_terminated_raw_is_valid_and_its_own_repair(monkeypatch, beam):
+    # The beam loop and the greedy walk alike hand a terminated constrained
+    # raw out as its repaired form without calling ``repair``: the automaton
+    # offers EOS only where the raw validates.
     ref, ref_sources = synthetic_ref_scorer(3)
     light, _ = synthetic_ref_scorer(3, edit_weight=0.003)
     cases = [(sc, [SRC, ["a", "b", "c", "a"]]) for sc in (FuzzScorer(1), TieScorer(2))]
     cases += [(ref, ref_sources), (light, ref_sources)]
+    repaired = []  # the raws the decoder passed through ``repair``
+
+    def counting_repair(tagged, source):
+        repaired.append(tuple(tagged))
+        return repair(tagged, source)
+
+    monkeypatch.setattr(decode_bias, "repair", counting_repair)
     terminated = 0
     for sc, sources in cases:
         for src in sources:
             for max_len in (len(src) + 1, len(src) + 3, None):
                 for bias in (BiasVector(), BiasVector.tied(0.5)):
                     cfg = DecodeConfig(beam, max_len, True, bias)
-                    for h in beam_decode(sc, src, cfg):
+                    repaired.clear()
+                    hyps = beam_decode(sc, src, cfg)
+                    assert repaired == [h.raw for h in hyps if not h.terminated]
+                    for h in hyps:
                         if h.terminated:
                             terminated += 1
                             assert validate_tagged(list(h.raw), src).valid
@@ -1706,7 +1721,7 @@ def test_split_rows_decode_as_the_reference(scs, sources, biases, constrained, b
                     kinds |= row_kinds(dist, offsets)
                     # the halves merged under the offsets are every positive
                     # move in move order, each with the log of its ranking value
-                    merged = sorted([*plain, *decode_bias._tag_moves(tags, offsets)])
+                    merged = sorted([*plain, *_ranked(tags, offsets)])
                     positive = [(t, p) for t, p in dist.items() if p > 0.0]
                     want = oracle_ranked_moves(positive, offsets)
                     assert [(lr, t, p) for _, t, p, lr in merged] == want

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from gecdiff.edit_extract import Edit, apply_edits, lattice_arcs, levenshtein_align
+from gecdiff.edit_extract import Edit, lattice_arcs, levenshtein_align
 from gecdiff.metrics import (
     BootstrapReport,
     GleuStats,
@@ -24,6 +24,7 @@ from gecdiff.metrics import (
     sentence_gleu_from_stats,
 )
 from gecdiff.text_norm import DEL_OPEN, is_reserved_token
+from test_edit_extract import apply_edits
 
 
 class TestFBeta:
